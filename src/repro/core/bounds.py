@@ -25,10 +25,8 @@ boundaries: outer ``[floor(lv*b), ceil(uv*b))`` is a superset, inner
 Everything is vectorised across masks: ``H`` has shape
 ``(N, ny + 1, nx + 1, b)`` and ``rois`` shape ``(N, 4)``, producing
 ``(N,)`` bound vectors in a handful of NumPy gathers — this is the
-driver-side filter stage the paper runs over its in-memory index. A
-Spark ``mapInPandas`` wrapper over the Parquet index
-(:func:`repro.core.executor.bounds_df`) exercises the same kernel
-distributed.
+driver-side filter stage the paper runs over its in-memory index
+(:meth:`repro.core.executor.MaskSearchEngine.bounds`).
 """
 from __future__ import annotations
 
@@ -148,10 +146,3 @@ def cp_bounds_batch(
     lb = np.maximum(np.maximum(lb1, lb2), 0)
     return lb.astype(np.int64), ub.astype(np.int64)
 
-
-def cp_bounds_single(
-    H: np.ndarray, roi: tuple[int, int, int, int], lv: float, uv: float, cfg: ChiConfig
-) -> tuple[int, int]:
-    """Scalar convenience wrapper around :func:`cp_bounds_batch`."""
-    lb, ub = cp_bounds_batch(H[None], np.asarray([roi]), lv, uv, cfg)
-    return int(lb[0]), int(ub[0])

@@ -158,14 +158,36 @@ class ChiIndex:
         pdf = spark.read.parquet(path).orderBy(F.col("mask_id")).toPandas()
         idx = cls(cfg)
         if len(pdf):
-            ny, nx, b = int(pdf["ny"].iat[0]), int(pdf["nx"].iat[0]), int(pdf["b"].iat[0])
-            if b != cfg.b:
-                raise ValueError(f"index built with b={b}, expected {cfg.b}")
+            # Bounds from a CHI read under another config are unsound.
+            built = ChiConfig(*(int(pdf[c].iat[0]) for c in ("wc", "hc", "b")))
+            if built != cfg:
+                raise ValueError(f"index built with {built}, expected {cfg}")
+            ny, nx = int(pdf["ny"].iat[0]), int(pdf["nx"].iat[0])
             H = np.stack(
-                [np.asarray(h, dtype=np.int64).reshape(ny + 1, nx + 1, b) for h in pdf["h"]]
+                [np.asarray(h, dtype=np.int64).reshape(ny + 1, nx + 1, cfg.b) for h in pdf["h"]]
             )
             idx.add(pdf["mask_id"].astype(np.int64).to_numpy(), H)
         return idx
+
+    def save(self, spark: SparkSession, path: str) -> str:
+        """Persist the index as Parquet in :func:`build_index`'s format,
+        readable by :meth:`load`. Returns ``path``."""
+        if self._H is None:
+            raise ValueError("nothing to persist: index is empty")
+        _, ny1, nx1, b = self._H.shape
+        pdf = pd.DataFrame(
+            {
+                "mask_id": np.asarray(self._ids, dtype=np.int64),
+                "ny": ny1 - 1,
+                "nx": nx1 - 1,
+                "b": b,
+                "wc": self.cfg.wc,
+                "hc": self.cfg.hc,
+                "h": [row.ravel().tolist() for row in self._H],
+            }
+        )
+        spark.createDataFrame(pdf, schema=_INDEX_SCHEMA).write.mode("overwrite").parquet(path)
+        return path
 
     def add(self, mask_ids: np.ndarray, H: np.ndarray) -> None:
         """Append CHIs for new masks (incremental indexing, §3.6)."""

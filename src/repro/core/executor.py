@@ -23,6 +23,11 @@ The engine executes the paper's query classes over a
 - **ratio top-k** (§2 Example 1 / §3.3): ``CP_a / CP_b`` with sound
   interval division.
 
+The index may be full (MS), partial or empty (MS-II, §3.6): a mask with
+no CHI entry gets the vacuous interval ``(-inf, +inf)``, so the filter
+stage always sends it to verification, and the verification scan builds
+its CHI and adds it to the index.
+
 Every result records :class:`QueryStats` whose ``masks_loaded`` is the
 paper's Table 2 metric: the number of masks read from disk during
 execution.
@@ -33,8 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
+from pyspark.sql import SparkSession
 
 from repro.core import verify
 from repro.core.bounds import cp_bounds_batch
@@ -72,9 +76,6 @@ class QueryResult:
 
     def ids(self, col: str = "mask_id") -> list[int]:
         return sorted(int(v) for v in self.pdf[col])
-
-    def to_spark(self, spark: SparkSession, schema: str | None = None) -> DataFrame:
-        return spark.createDataFrame(self.pdf, schema=schema)
 
 
 @dataclass(frozen=True)
@@ -128,11 +129,14 @@ class MaskSearchEngine:
         model_id: int | None = None,
         mask_ids=None,
         image_ids=None,
+        model_ids: tuple[int, ...] | None = None,
     ) -> pd.DataFrame:
         """Metadata rows targeted by a query's relational predicates."""
         m = self.meta
         if model_id is not None:
             m = m[m["model_id"] == model_id]
+        if model_ids is not None:
+            m = m[m["model_id"].isin(model_ids)]
         if mask_ids is not None:
             m = m[m["mask_id"].isin(set(int(v) for v in mask_ids))]
         if image_ids is not None:
@@ -142,11 +146,22 @@ class MaskSearchEngine:
     def bounds(
         self, meta: pd.DataFrame, term: CPTerm
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Certified (lb, ub) on ``CP(term)`` for each mask in ``meta``."""
+        """Certified (lb, ub) on ``CP(term)`` for each mask in ``meta``;
+        ``(-inf, +inf)`` for a mask not in the index.
+
+        Not ``[0, |roi|]``: a threshold above ``|roi|`` would then decide
+        a first-touch mask without loading, and so without indexing, it
+        (§3.6)."""
         ids = meta["mask_id"].to_numpy(np.int64)
-        H = self.index.gather(ids)
-        rois = _meta_rois(meta, term, self.w, self.h)
-        return cp_bounds_batch(H, rois, term.lv, term.uv, self.index.cfg)
+        have = self.index.has(ids)
+        lb = np.full(len(ids), -np.inf)
+        ub = np.full(len(ids), np.inf)
+        if have.any():
+            rois = _meta_rois(meta[have], term, self.w, self.h)
+            lb[have], ub[have] = cp_bounds_batch(
+                self.index.gather(ids[have]), rois, term.lv, term.uv, self.index.cfg
+            )
+        return lb, ub
 
     def _combined_bounds(
         self, meta: pd.DataFrame, pred: FilterPredicate
@@ -169,9 +184,16 @@ class MaskSearchEngine:
     ) -> pd.DataFrame:
         """Load the masks in ``meta`` from disk (Catalyst pushes the
         ``mask_id IN`` predicate into the store scan) and compute exact
-        CP for every term. Returns ``mask_id, image_id, cp_0..cp_{n-1}``.
+        CP for every term. The same scan builds the CHI of the loaded
+        masks the index lacks, which are then added to it (§3.6).
+        Returns ``mask_id, image_id, cp_0..cp_{n-1}``.
         """
-        return verify.exact_cp_pdf(self.spark, self.store, meta, terms)
+        ids = meta["mask_id"].to_numpy(np.int64)
+        pdf, new_ids, new_H = verify.exact_cp_and_chi(
+            self.spark, self.store, meta, terms, self.index.cfg, chi_ids=ids[~self.index.has(ids)]
+        )
+        self.index.add(new_ids, new_H)
+        return pdf
 
     # ------------------------------------------------------------------
     # query classes
@@ -217,22 +239,6 @@ class MaskSearchEngine:
             }
         ).sort_values("mask_id").reset_index(drop=True)
         return QueryResult(result, stats)
-
-    def _two_phase_candidates(
-        self, lo: np.ndarray, hi: np.ndarray, k: int, descending: bool
-    ) -> np.ndarray:
-        """Boolean candidate mask for a single-round two-phase top-k:
-        ``tau`` = k-th best *lower* bound, candidates = every entity whose
-        interval can reach ``tau``. Kept for tests/comparison; the engine
-        uses the stronger :meth:`_topk_refine`."""
-        n = len(lo)
-        if n <= k:
-            return np.ones(n, dtype=bool)
-        if descending:
-            tau = np.partition(lo, n - k)[n - k]  # k-th largest lower bound
-            return hi >= tau
-        tau = np.partition(hi, k - 1)[k - 1]  # k-th smallest upper bound
-        return lo <= tau
 
     def _topk_refine(
         self,
@@ -398,12 +404,7 @@ class MaskSearchEngine:
     ) -> QueryResult:
         """Q4-style: top-k images by ``mean(CP)`` over each image's masks
         (SCALAR_AGG of §3.4); ties break on image_id asc."""
-        meta = self.meta if model_ids is None else self.meta[
-            self.meta["model_id"].isin(model_ids)
-        ]
-        if image_ids is not None:
-            meta = meta[meta["image_id"].isin(set(int(v) for v in image_ids))]
-        meta = meta.reset_index(drop=True)
+        meta = self.target(model_ids=model_ids, image_ids=image_ids)
         lo, hi = self.bounds(meta, term)
         g = (
             pd.DataFrame(
@@ -455,12 +456,7 @@ class MaskSearchEngine:
         ``sum_i lb_i - (n-1)|roi|``.
         """
         term = CPTerm(lv=t, uv=1.0, roi=roi)
-        meta = self.meta if model_ids is None else self.meta[
-            self.meta["model_id"].isin(model_ids)
-        ]
-        if image_ids is not None:
-            meta = meta[meta["image_id"].isin(set(int(v) for v in image_ids))]
-        meta = meta.reset_index(drop=True)
+        meta = self.target(model_ids=model_ids, image_ids=image_ids)
         lo, hi = self.bounds(meta, term)
         areas = (
             _meta_rois(meta, term, self.w, self.h)[:, [2, 3]]
@@ -506,41 +502,3 @@ class MaskSearchEngine:
         masks are aggregated where they land after the shuffle."""
         return verify.exact_maskagg_pdf(self.spark, self.store, meta, t, term)
 
-
-def bounds_df(
-    spark: SparkSession,
-    index_path: str,
-    store: MaskStore,
-    term: CPTerm,
-    cfg,
-) -> DataFrame:
-    """Distributed filter stage: bounds computed by a Spark scan over the
-    persisted CHI Parquet (same kernel as the driver path; used to show
-    and test the pure-DataFrame variant of §3.2.1)."""
-    meta = store.metadata(spark).select(
-        "mask_id", "obj_x1", "obj_y1", "obj_x2", "obj_y2"
-    )
-    idx = spark.read.parquet(index_path)
-    joined = idx.join(meta, "mask_id")
-    w, h = store.spec.width, store.spec.height
-    lv, uv, troi = term.lv, term.uv, term.roi
-
-    def _b(batches):
-        from repro.core.chi import ChiConfig
-
-        for pdf in batches:
-            if not len(pdf):
-                continue
-            ny, nx, b = int(pdf["ny"].iat[0]), int(pdf["nx"].iat[0]), int(pdf["b"].iat[0])
-            local_cfg = ChiConfig(int(pdf["wc"].iat[0]), int(pdf["hc"].iat[0]), b)
-            H = np.stack(
-                [np.asarray(x, dtype=np.int64).reshape(ny + 1, nx + 1, b) for x in pdf["h"]]
-            )
-            t = CPTerm(lv=lv, uv=uv, roi=troi)
-            rois = _meta_rois(pdf, t, w, h)
-            lb, ub = cp_bounds_batch(H, rois, lv, uv, local_cfg)
-            yield pd.DataFrame(
-                {"mask_id": pdf["mask_id"].astype(np.int64), "lb": lb, "ub": ub}
-            )
-
-    return joined.mapInPandas(_b, schema="mask_id long, lb long, ub long")

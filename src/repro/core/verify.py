@@ -73,29 +73,36 @@ def _term_params(meta: pd.DataFrame, terms, w: int, h: int) -> dict:
     }
 
 
-def exact_cp_pdf(
+def _cp_chi_scan(
     spark: SparkSession,
     store: MaskStore,
     meta: pd.DataFrame,
     terms: tuple[CPTerm, ...],
+    cfg: ChiConfig | None,
+    chi_ids: frozenset,
 ) -> pd.DataFrame:
-    """Load the masks in ``meta`` and compute exact CP per term.
-
-    Returns ``mask_id, image_id, cp_0..cp_{n-1}`` (pandas; one row per
-    mask). The store scan opens exactly ``len(meta)`` files thanks to
-    the pushed-down ``In`` filter.
-    """
+    """The one per-mask CP kernel: load the masks in ``meta`` and compute
+    exact CP per term, plus the flattened CHI (``h``) of every mask in
+    ``chi_ids`` (``[]`` for the others). Returns
+    ``mask_id, image_id, cp_0..cp_{n-1}, h`` (pandas; one row per mask).
+    The store scan opens exactly ``len(meta)`` files thanks to the
+    pushed-down ``In`` filter."""
     cols = [f"cp_{i}" for i in range(len(terms))]
-    empty = pd.DataFrame({c: pd.Series(dtype=np.int64) for c in ["mask_id", "image_id", *cols]})
+    names = ["mask_id", "image_id", *cols, "h"]
+    empty = pd.DataFrame({c: pd.Series(dtype=object if c == "h" else np.int64) for c in names})
     if len(meta) == 0:
         return empty
     params = _term_params(meta, terms, store.spec.width, store.spec.height)
-    bc = spark.sparkContext.broadcast(params)
+    bc = spark.sparkContext.broadcast((params, chi_ids))
     df = _target_scan(spark, store, meta)
-    schema = "mask_id long, image_id long, " + ", ".join(f"{c} long" for c in cols)
+    schema = (
+        "mask_id long, image_id long, "
+        + ", ".join(f"{c} long" for c in cols)
+        + ", h array<long>"
+    )
 
     def _kernel(batches):
-        prm = bc.value
+        prm, chis = bc.value
         for pdf in batches:
             rows = []
             for mid, img, hh, ww, vals in zip(
@@ -106,12 +113,31 @@ def exact_cp_pdf(
                     cp(mask, (x1, y1, x2, y2), lv, uv)
                     for (x1, y1, x2, y2, lv, uv) in prm[int(mid)]
                 ]
-                rows.append((int(mid), int(img), *cps))
-            yield pd.DataFrame(rows, columns=["mask_id", "image_id", *cols])
+                h_out = (
+                    build_chi_array(mask, cfg).ravel().tolist()
+                    if int(mid) in chis
+                    else []
+                )
+                rows.append((int(mid), int(img), *cps, h_out))
+            yield pd.DataFrame(rows, columns=names)
 
     out = df.mapInPandas(_kernel, schema=schema).toPandas()
     bc.unpersist()
     return out if len(out) else empty
+
+
+def exact_cp_pdf(
+    spark: SparkSession,
+    store: MaskStore,
+    meta: pd.DataFrame,
+    terms: tuple[CPTerm, ...],
+) -> pd.DataFrame:
+    """Load the masks in ``meta`` and compute exact CP per term.
+
+    Returns ``mask_id, image_id, cp_0..cp_{n-1}`` (pandas; one row per
+    mask).
+    """
+    return _cp_chi_scan(spark, store, meta, terms, None, frozenset()).drop(columns=["h"])
 
 
 def exact_maskagg_pdf(
@@ -161,69 +187,24 @@ def exact_cp_and_chi(
     meta: pd.DataFrame,
     terms: tuple[CPTerm, ...],
     cfg: ChiConfig,
-    chi_ids=None,
+    chi_ids,
 ) -> tuple[pd.DataFrame, np.ndarray, np.ndarray]:
-    """Incremental-indexing kernel (§3.6): one pass that loads each mask
-    and computes exact CPs, additionally building the CHI for the masks
-    in ``chi_ids`` (default: all). This lets MS-II answer a query with a
-    *single* scan covering both first-touch masks (CP + CHI) and
-    already-indexed masks that need verification (CP only). Returns
+    """Verification with incremental indexing (§3.6): one pass that
+    loads each mask and computes exact CPs, additionally building the
+    CHI for the masks in ``chi_ids``. A single scan thus covers both
+    first-touch masks (CP + CHI) and already-indexed masks that need
+    verification (CP only). Returns
     ``(cp_pdf, chi_mask_ids, H_tensor)``; ``cp_pdf`` covers every mask in
     ``meta``, the CHI outputs only ``chi_ids``.
     """
-    cols = [f"cp_{i}" for i in range(len(terms))]
+    out = _cp_chi_scan(spark, store, meta, terms, cfg, frozenset(int(v) for v in chi_ids))
     nx, ny = cfg.grid(store.spec.width, store.spec.height)
-    empty_H = np.zeros((0, ny + 1, nx + 1, cfg.b), dtype=np.int64)
-    if len(meta) == 0:
-        empty = pd.DataFrame(
-            {c: pd.Series(dtype=np.int64) for c in ["mask_id", "image_id", *cols]}
-        )
-        return empty, np.zeros(0, dtype=np.int64), empty_H
-    chi_set = (
-        frozenset(int(v) for v in meta["mask_id"])
-        if chi_ids is None
-        else frozenset(int(v) for v in chi_ids)
-    )
-    params = _term_params(meta, terms, store.spec.width, store.spec.height)
-    bc = spark.sparkContext.broadcast((params, chi_set))
-    df = _target_scan(spark, store, meta)
-    wc, hc, b = cfg.wc, cfg.hc, cfg.b
-    schema = (
-        "mask_id long, image_id long, "
-        + ", ".join(f"{c} long" for c in cols)
-        + ", h array<long>"
-    )
-
-    def _kernel(batches):
-        prm, chis = bc.value
-        local_cfg = ChiConfig(wc, hc, b)
-        for pdf in batches:
-            rows = []
-            for mid, img, hh, ww, vals in zip(
-                pdf["mask_id"], pdf["image_id"], pdf["height"], pdf["width"], pdf["values"]
-            ):
-                mask = np.asarray(vals, dtype=np.float32).reshape(hh, ww)
-                cps = [
-                    cp(mask, (x1, y1, x2, y2), lv, uv)
-                    for (x1, y1, x2, y2, lv, uv) in prm[int(mid)]
-                ]
-                h_out = (
-                    build_chi_array(mask, local_cfg).ravel().tolist()
-                    if int(mid) in chis
-                    else []
-                )
-                rows.append((int(mid), int(img), *cps, h_out))
-            yield pd.DataFrame(rows, columns=["mask_id", "image_id", *cols, "h"])
-
-    out = df.mapInPandas(_kernel, schema=schema).toPandas()
-    bc.unpersist()
     with_chi = out[out["h"].map(len) > 0]
     H = (
         np.stack(
-            [np.asarray(x, dtype=np.int64).reshape(ny + 1, nx + 1, b) for x in with_chi["h"]]
+            [np.asarray(x, dtype=np.int64).reshape(ny + 1, nx + 1, cfg.b) for x in with_chi["h"]]
         )
         if len(with_chi)
-        else empty_H
+        else np.zeros((0, ny + 1, nx + 1, cfg.b), dtype=np.int64)
     )
-    chi_mask_ids = with_chi["mask_id"].to_numpy(np.int64)
-    return out.drop(columns=["h"]), chi_mask_ids, H
+    return out.drop(columns=["h"]), with_chi["mask_id"].to_numpy(np.int64), H

@@ -5,6 +5,7 @@ import pytest
 from repro.baselines.full_scan import FullScanBaseline
 from repro.core.chi import ChiConfig, ChiIndex, build_index
 from repro.core.executor import MaskSearchEngine
+from repro.core.incremental import IncrementalSession
 from repro.masks.synth import TINY
 from repro.maskstore.store import build_store
 from repro import testing
@@ -45,6 +46,12 @@ def tiny_coarse_index(spark, tiny_store):
 @pytest.fixture(scope="session")
 def engine(spark, tiny_store, tiny_index):
     return MaskSearchEngine(spark, tiny_store, tiny_index)
+
+
+@pytest.fixture()
+def msii(spark, tiny_store):
+    """A fresh MS-II session: the engine over an empty CHI."""
+    return IncrementalSession(spark, tiny_store, TINY_CFG)
 
 
 @pytest.fixture(scope="session")

@@ -6,10 +6,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.bounds import cp_bounds_batch, cp_bounds_single, value_bin_bounds
+from repro.core.bounds import cp_bounds_batch, value_bin_bounds
 from repro.core.chi import ChiConfig, build_chi_array
 from repro.core.cp import cp
 from tests.test_chi import FIG4, FIG4_CFG
+
+
+def cp_bounds_single(
+    H: np.ndarray, roi: tuple[int, int, int, int], lv: float, uv: float, cfg: ChiConfig
+) -> tuple[int, int]:
+    """Scalar convenience wrapper around :func:`cp_bounds_batch`."""
+    lb, ub = cp_bounds_batch(H[None], np.asarray([roi]), lv, uv, cfg)
+    return int(lb[0]), int(ub[0])
 
 
 @pytest.fixture(scope="module")

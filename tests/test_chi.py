@@ -3,7 +3,7 @@ worked example."""
 import numpy as np
 import pytest
 
-from repro.core.chi import ChiConfig, ChiIndex, build_chi_array
+from repro.core.chi import ChiConfig, ChiIndex, build_chi_array, build_index
 from repro.core.cp import cp
 
 # The paper's Figure 4 example mask M (6x6), rows top to bottom.
@@ -179,6 +179,13 @@ class TestDistributedBuild:
     def test_load_rejects_wrong_bins(self, spark, tiny_index_path):
         with pytest.raises(ValueError):
             ChiIndex.load(spark, tiny_index_path, ChiConfig(8, 8, 4))
+
+    def test_load_rejects_other_cell_size(self, spark, tiny_store, tmp_path):
+        """Same bins, other cells: bounds read under the wrong cell size
+        are unsound."""
+        path = build_index(spark, tiny_store, ChiConfig(16, 16, 8), str(tmp_path / "chi"))
+        with pytest.raises(ValueError):
+            ChiIndex.load(spark, path, ChiConfig(8, 8, 8))
 
     def test_index_size_accounting(self, tiny_store, tiny_index, tiny_cfg):
         per_mask = tiny_cfg.index_bytes_per_mask(

@@ -52,6 +52,16 @@ def test_k_larger_than_images(spark, engine, baseline, pixels, tiny_meta):
     assert len(r.pdf) == 60
 
 
+def test_fresh_msii_session(spark, engine, baseline, pixels, tiny_meta, msii):
+    """MS-II from an empty index loads and indexes every targeted mask
+    and answers like the full-index engine."""
+    term = CPTerm(0.8, 1.0, OBJECT_ROI)
+    r = _check(spark, msii, baseline, pixels, tiny_meta, term, 5, True)
+    full = engine.agg_topk(term, k=5, descending=True, model_ids=(1, 2))
+    assert r.pdf.equals(full.pdf)
+    assert msii.n_indexed == r.stats.masks_loaded == r.stats.n_targeted
+
+
 def test_loads_both_masks_of_candidate_images(spark, engine):
     """Q4 loads 2x masks per candidate image (the paper's Table 2 shows
     Q4's baseline count doubling for the same reason)."""

@@ -54,6 +54,16 @@ def test_k_larger_than_dataset(spark, engine, baseline, pixels, tiny_meta):
     assert len(r.pdf) == r.stats.n_targeted
 
 
+@pytest.mark.parametrize("descending", [True, False])
+def test_fresh_msii_session(spark, engine, baseline, pixels, tiny_meta, msii, descending):
+    """MS-II from an empty index loads and indexes every targeted mask
+    and answers like the full-index engine."""
+    term = CPTerm(0.8, 1.0, CONST_ROI)
+    r = _check(spark, msii, baseline, pixels, tiny_meta, term, 5, descending, model_id=1)
+    assert r.pdf.equals(engine.topk(term, k=5, descending=descending, model_id=1).pdf)
+    assert msii.n_indexed == r.stats.masks_loaded == r.stats.n_targeted
+
+
 def test_k_equals_one_loads_few(spark, engine):
     r = engine.topk(CPTerm(0.5, 1.0, CONST_ROI), k=1, descending=True, model_id=1)
     assert len(r.pdf) == 1

@@ -3,6 +3,7 @@ the same results as MS while building the index on first touch."""
 import numpy as np
 import pytest
 
+from repro.core import verify
 from repro.core.chi import ChiConfig, ChiIndex, build_chi_array
 from repro.core.cp import OBJECT_ROI, CPTerm
 from repro.core.executor import GT, FilterPredicate, MaskSearchEngine
@@ -37,6 +38,28 @@ def test_results_match_full_index_engine(session, engine):
         r_inc = session.filter(pred, mask_ids=ids)
         r_full = engine.filter(pred, mask_ids=ids)
         assert r_inc.ids() == r_full.ids()
+
+
+def test_one_verification_scan_per_filter(session, monkeypatch):
+    """First-touch and partly indexed targets each take a single
+    CP + CHI scan (§3.6), and no other verification entry point."""
+    calls = []
+
+    def counted(name):
+        real = getattr(verify, name)
+
+        def wrapper(*a, **kw):
+            calls.append(name)
+            return real(*a, **kw)
+
+        return wrapper
+
+    for name in ("exact_cp_pdf", "exact_maskagg_pdf", "exact_cp_and_chi"):
+        monkeypatch.setattr(verify, name, counted(name))
+    session.filter(PRED_A, mask_ids=list(range(20)))
+    assert calls == ["exact_cp_and_chi"]
+    session.filter(PRED_A, mask_ids=list(range(10, 40)))
+    assert calls == ["exact_cp_and_chi"] * 2
 
 
 def test_second_touch_uses_index(session):

@@ -1,11 +1,9 @@
-"""Sanity tests for the shared test infrastructure: the DuckDB oracle,
-the pixel explosion, and the provided TPC-H-lite generators."""
+"""Sanity tests for the shared test infrastructure: the DuckDB oracle
+and the pixel explosion."""
 import numpy as np
 import pandas as pd
 import pytest
-from pyspark.sql import functions as F
 
-from repro import synth_data, testing
 from repro.oracle import assert_equivalent
 
 
@@ -42,36 +40,3 @@ class TestPixelsTable:
             meta=tiny_meta,
         )
 
-
-class TestTpchLiteOracle:
-    """Smoke tests that the provided synth_data + oracle plumbing works
-    (used as the repo's generic correctness harness)."""
-
-    def test_lineitem_aggregate(self, spark):
-        li = synth_data.lineitem(spark, sf=0.001)
-        got = (
-            li.groupBy("l_returnflag")
-            .agg(F.count("*").alias("n"), F.round(F.sum("l_quantity"), 2).alias("qty"))
-        )
-        assert_equivalent(
-            got,
-            "SELECT l_returnflag, count(*) AS n, round(sum(l_quantity), 2) AS qty "
-            "FROM lineitem GROUP BY l_returnflag",
-            lineitem=li,
-        )
-
-    def test_orders_join(self, spark):
-        li = synth_data.lineitem(spark, sf=0.001)
-        o = synth_data.orders(spark, sf=0.001)
-        got = (
-            li.join(o, li.l_orderkey == o.o_orderkey)
-            .groupBy("o_orderpriority")
-            .agg(F.count("*").alias("n"))
-        )
-        assert_equivalent(
-            got,
-            "SELECT o_orderpriority, count(*) AS n FROM lineitem, orders "
-            "WHERE l_orderkey = o_orderkey GROUP BY o_orderpriority",
-            lineitem=li,
-            orders=o,
-        )

@@ -29,6 +29,21 @@ def test_masksearch_never_loads_more_than_baseline(queries, engine, baseline, na
     assert rb.stats.masks_loaded == rb.stats.n_targeted  # baselines load all
 
 
+@pytest.mark.parametrize("name", ["Q1", "Q2", "Q3", "Q4", "Q5"])
+def test_msii_session_matches_engine(queries, engine, msii, name):
+    """Every class runs on MS-II; it indexes what it loads, except Q5,
+    whose grouped intersection scan builds no CHI."""
+    r = queries[name].run(msii)
+    assert r.pdf.equals(queries[name].run(engine).pdf)
+    assert msii.n_indexed == (0 if name == "Q5" else r.stats.masks_loaded)
+
+
+def test_full_index_engine_indexes_nothing(queries, engine, tiny_store):
+    for q in queries.values():
+        q.run(engine)
+    assert len(engine.index) == tiny_store.n_masks()
+
+
 def test_q1_oracle(spark, queries, engine, pixels, tiny_meta, tiny_store):
     side = tiny_store.spec.width
     from repro.core.executor import GT, FilterPredicate

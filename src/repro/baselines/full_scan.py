@@ -32,10 +32,14 @@ class FullScanBaseline:
         datasource.register(spark)
         self.meta = store.metadata_pandas(spark)
 
-    def _target(self, model_id=None, mask_ids=None, image_ids=None) -> pd.DataFrame:
+    def _target(
+        self, model_id=None, mask_ids=None, image_ids=None, model_ids=None
+    ) -> pd.DataFrame:
         m = self.meta
         if model_id is not None:
             m = m[m["model_id"] == model_id]
+        if model_ids is not None:
+            m = m[m["model_id"].isin(model_ids)]
         if mask_ids is not None:
             m = m[m["mask_id"].isin(set(int(v) for v in mask_ids))]
         if image_ids is not None:
@@ -89,12 +93,7 @@ class FullScanBaseline:
     def agg_topk(
         self, term: CPTerm, k: int, descending=True, model_ids=None, image_ids=None
     ) -> QueryResult:
-        meta = self.meta if model_ids is None else self.meta[
-            self.meta["model_id"].isin(model_ids)
-        ]
-        if image_ids is not None:
-            meta = meta[meta["image_id"].isin(set(int(v) for v in image_ids))]
-        meta = meta.reset_index(drop=True)
+        meta = self._target(model_ids=model_ids, image_ids=image_ids)
         exact = verify.exact_cp_pdf(self.spark, self.store, meta, (term,))
         agg = (
             exact.groupby("image_id", sort=True)["cp_0"].mean().rename("val").reset_index()
@@ -106,12 +105,7 @@ class FullScanBaseline:
         self, t: float, roi, k: int, descending=True, model_ids=None, image_ids=None
     ) -> QueryResult:
         term = CPTerm(lv=t, uv=1.0, roi=roi)
-        meta = self.meta if model_ids is None else self.meta[
-            self.meta["model_id"].isin(model_ids)
-        ]
-        if image_ids is not None:
-            meta = meta[meta["image_id"].isin(set(int(v) for v in image_ids))]
-        meta = meta.reset_index(drop=True)
+        meta = self._target(model_ids=model_ids, image_ids=image_ids)
         agg = verify.exact_maskagg_pdf(self.spark, self.store, meta, t, term)
         agg = agg.sort_values(["val", "image_id"], ascending=[not descending, True])
         return QueryResult(agg.head(k).reset_index(drop=True), self._stats(meta))

@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import pandas as pd
 
 ROI = tuple[int, int, int, int]
 
@@ -54,6 +55,13 @@ class CPTerm:
         if not (0 <= x1 < x2 <= w and 0 <= y1 < y2 <= h):
             raise ValueError(f"roi {self.roi} out of bounds for {w}x{h} mask")
         return (x1, y1, x2, y2)
+
+    def rois(self, meta: pd.DataFrame, w: int, h: int) -> np.ndarray:
+        """:meth:`resolve_roi` for every mask in ``meta`` (object boxes from
+        its ``obj_*`` columns), as an ``(N, 4)`` int64 array."""
+        if self.roi == OBJECT_ROI:
+            return meta[["obj_x1", "obj_y1", "obj_x2", "obj_y2"]].to_numpy(np.int64)
+        return np.tile(np.asarray(self.resolve_roi(w, h), dtype=np.int64), (len(meta), 1))
 
 
 def roi_area(roi: ROI) -> int:

@@ -98,17 +98,6 @@ class FilterPredicate:
         return self.coefs or tuple(1.0 for _ in self.terms)
 
 
-def _meta_rois(meta: pd.DataFrame, term: CPTerm, w: int, h: int) -> np.ndarray:
-    """Resolve a term's ROI to an (N, 4) int array for masks in ``meta``."""
-    n = len(meta)
-    if term.roi is None:
-        return np.tile(np.array([0, 0, w, h], dtype=np.int64), (n, 1))
-    if isinstance(term.roi, str):
-        return meta[["obj_x1", "obj_y1", "obj_x2", "obj_y2"]].to_numpy(np.int64)
-    roi = np.asarray(term.resolve_roi(w, h), dtype=np.int64)
-    return np.tile(roi, (n, 1))
-
-
 class MaskSearchEngine:
     """MaskSearch over one store + one in-memory CHI (paper's "session")."""
 
@@ -154,12 +143,12 @@ class MaskSearchEngine:
         (§3.6)."""
         ids = meta["mask_id"].to_numpy(np.int64)
         have = self.index.has(ids)
+        rois = term.rois(meta, self.w, self.h)
         lb = np.full(len(ids), -np.inf)
         ub = np.full(len(ids), np.inf)
         if have.any():
-            rois = _meta_rois(meta[have], term, self.w, self.h)
             lb[have], ub[have] = cp_bounds_batch(
-                self.index.gather(ids[have]), rois, term.lv, term.uv, self.index.cfg
+                self.index.gather(ids[have]), rois[have], term.lv, term.uv, self.index.cfg
             )
         return lb, ub
 
@@ -240,17 +229,24 @@ class MaskSearchEngine:
         ).sort_values("mask_id").reset_index(drop=True)
         return QueryResult(result, stats)
 
-    def _topk_refine(
+    def _rank(
         self,
-        keys: np.ndarray,
-        lo: np.ndarray,
-        hi: np.ndarray,
+        meta: pd.DataFrame,
+        key: str,
+        ent: pd.DataFrame,
         k: int,
         descending: bool,
-        exact_fn,
-        loads_per_key: np.ndarray,
-    ) -> tuple[pd.DataFrame, int, int]:
-        """Batched threshold-refinement top-k (paper §3.5, distributed).
+        exact,
+    ) -> QueryResult:
+        """Top-k entities of ``meta`` by exact value: batched threshold
+        refinement (paper §3.5, distributed).
+
+        ``ent`` is indexed by ``key`` (``mask_id`` or ``image_id``) and
+        holds each entity's certified bounds ``lo``/``hi`` and ``n``, the
+        number of its masks in ``meta``. ``exact(sub_meta)`` runs one
+        verification job over the targeted rows of some entities and
+        returns ``key, val``; it may omit entities that are excluded from
+        the ranking (e.g. a zero denominator).
 
         The paper processes masks sequentially, pruning each whose upper
         bound cannot beat the running k-th-best exact value. The
@@ -260,18 +256,13 @@ class MaskSearchEngine:
         round, until no unverified entity's interval can reach ``tau``.
         Ties are handled soundly (``hi >= tau`` stays a candidate) and
         broken by key ascending, matching the oracle's ORDER BY.
-
-        ``exact_fn(sel_keys) -> pdf[key, val]`` runs one verification
-        job; it may omit keys that are excluded from the ranking (e.g. a
-        zero denominator). ``loads_per_key[i]`` is the number of masks a
-        verification of ``keys[i]`` loads. Returns
-        ``(result_pdf[key, val], n_verified_keys, masks_loaded)``.
         """
-        n = len(keys)
         sign = 1.0 if descending else -1.0
-        LO, HI = (lo, hi) if descending else (-hi, -lo)
-        LO = LO.astype(np.float64)
-        HI = HI.astype(np.float64)
+        keys = ent.index.to_numpy(np.int64)
+        LO = sign * ent["lo" if descending else "hi"].to_numpy(np.float64)
+        HI = sign * ent["hi" if descending else "lo"].to_numpy(np.float64)
+        per = ent["n"].to_numpy(np.int64)
+        n = len(keys)
         unverified = np.ones(n, dtype=bool)
         tau = float(np.partition(LO, n - k)[n - k]) if n > k else -np.inf
         # First round verifies just enough to establish a running
@@ -279,7 +270,8 @@ class MaskSearchEngine:
         # of Spark jobs. This mirrors the paper's sequential scan whose
         # threshold tightens as exact values accumulate.
         batch = max(2 * k, 32)
-        verified: dict[int, float] = {}  # key -> signed exact value
+        found: list[pd.DataFrame] = []
+        vals = np.empty(0)  # signed exact values verified so far
         loaded = 0
         while True:
             cand = unverified & (HI >= tau)
@@ -288,25 +280,22 @@ class MaskSearchEngine:
             idx = np.where(cand)[0]
             take = idx[np.argsort(-HI[idx], kind="stable")[:batch]]
             batch = min(batch * 4, 2048)  # geometric growth bounds #rounds
-            sel = keys[take]
-            pdf = exact_fn(sel)
-            loaded += int(loads_per_key[take].sum())
+            pdf = exact(meta[meta[key].isin(keys[take])])
+            loaded += int(per[take].sum())
             unverified[take] = False
-            for kk, vv in zip(pdf.iloc[:, 0], pdf.iloc[:, 1]):
-                verified[int(kk)] = sign * float(vv)
-            if len(verified) >= k:
-                vals = np.sort(np.fromiter(verified.values(), dtype=np.float64))
-                tau = max(tau, float(vals[-k]))
-        if verified:
-            res = pd.DataFrame(
-                {"key": list(verified.keys()), "val": list(verified.values())}
-            ).sort_values(["val", "key"], ascending=[False, True], kind="stable")
-            res = res.head(k)
-            res["val"] = sign * res["val"]
-        else:
-            res = pd.DataFrame({"key": pd.Series(dtype=np.int64), "val": pd.Series(dtype=np.float64)})
-        n_verified = int((~unverified).sum())
-        return res.reset_index(drop=True), n_verified, loaded
+            found.append(pdf)
+            vals = np.concatenate([vals, sign * pdf["val"].to_numpy(np.float64)])
+            if len(vals) >= k:
+                tau = max(tau, float(np.sort(vals)[-k]))
+        res = pd.concat(found) if found else exact(meta.iloc[:0])
+        res = res.sort_values(["val", key], ascending=[not descending, True]).head(k)
+        stats = QueryStats(
+            n_targeted=len(meta),
+            n_pruned=len(meta) - loaded,
+            n_verified=loaded,
+            masks_loaded=loaded,
+        )
+        return QueryResult(res.reset_index(drop=True), stats)
 
     def topk(
         self,
@@ -319,25 +308,12 @@ class MaskSearchEngine:
         """Top-k masks by ``CP(term)`` (§3.5); ties break on mask_id asc."""
         meta = self.target(model_id=model_id, mask_ids=mask_ids)
         lo, hi = self.bounds(meta, term)
-        keys = meta["mask_id"].to_numpy(np.int64)
-        meta_by_id = meta.set_index("mask_id", drop=False)
+        ent = pd.DataFrame({"lo": lo, "hi": hi, "n": 1}, index=meta["mask_id"])
 
-        def _exact(sel: np.ndarray) -> pd.DataFrame:
-            pdf = self.exact_cp(meta_by_id.loc[sel], (term,))
-            return pdf[["mask_id", "cp_0"]]
+        def _exact(sub: pd.DataFrame) -> pd.DataFrame:
+            return self.exact_cp(sub, (term,)).rename(columns={"cp_0": "val"})[["mask_id", "val"]]
 
-        res, n_verified, loaded = self._topk_refine(
-            keys, lo, hi, k, descending, _exact, np.ones(len(keys), dtype=np.int64)
-        )
-        stats = QueryStats(
-            n_targeted=len(meta),
-            n_pruned=len(meta) - n_verified,
-            n_verified=n_verified,
-            masks_loaded=loaded,
-        )
-        out = res.rename(columns={"key": "mask_id"})
-        out["val"] = out["val"].astype(np.int64)
-        return QueryResult(out, stats)
+        return self._rank(meta, "mask_id", ent, k, descending, _exact)
 
     def topk_ratio(
         self,
@@ -360,39 +336,19 @@ class MaskSearchEngine:
         # refinement loop's tau comes only from verified exacts and
         # certainly-valid lower bounds, so it is sound even when some
         # denominators turn out to be zero (DESIGN.md §4).
-        feasible = dhi > 0
         with np.errstate(divide="ignore", invalid="ignore"):
             rlo = np.where((dhi > 0) & (dlo > 0), nlo / np.maximum(dhi, 1), 0.0)
             rhi = np.where(dlo > 0, nhi / np.maximum(dlo, 1), np.inf)
         # Masks that might be invalid (dlo == 0) contribute a vacuous
         # lower bound so they never inflate tau's initial estimate.
         rlo = np.where(dlo > 0, rlo, -np.inf if descending else 0.0)
-        meta_f = meta[feasible].reset_index(drop=True)
-        keys = meta_f["mask_id"].to_numpy(np.int64)
-        meta_by_id = meta_f.set_index("mask_id", drop=False)
+        ent = pd.DataFrame({"lo": rlo, "hi": rhi, "n": 1}, index=meta["mask_id"])[dhi > 0]
 
-        def _exact(sel: np.ndarray) -> pd.DataFrame:
-            pdf = self.exact_cp(meta_by_id.loc[sel], (num, den))
-            pdf = pdf[pdf["cp_1"] > 0].copy()
-            pdf["val"] = pdf["cp_0"] / pdf["cp_1"]
-            return pdf[["mask_id", "val"]]
+        def _exact(sub: pd.DataFrame) -> pd.DataFrame:
+            pdf = self.exact_cp(sub, (num, den)).query("cp_1 > 0")
+            return pdf.assign(val=pdf["cp_0"] / pdf["cp_1"])[["mask_id", "val"]]
 
-        res, n_verified, loaded = self._topk_refine(
-            keys,
-            rlo[feasible],
-            rhi[feasible],
-            k,
-            descending,
-            _exact,
-            np.ones(len(keys), dtype=np.int64),
-        )
-        stats = QueryStats(
-            n_targeted=len(meta),
-            n_pruned=len(meta) - n_verified,
-            n_verified=n_verified,
-            masks_loaded=loaded,
-        )
-        return QueryResult(res.rename(columns={"key": "mask_id"}), stats)
+        return self._rank(meta, "mask_id", ent, k, descending, _exact)
 
     def agg_topk(
         self,
@@ -406,38 +362,17 @@ class MaskSearchEngine:
         (SCALAR_AGG of §3.4); ties break on image_id asc."""
         meta = self.target(model_ids=model_ids, image_ids=image_ids)
         lo, hi = self.bounds(meta, term)
-        g = (
-            pd.DataFrame(
-                {"image_id": meta["image_id"].to_numpy(np.int64), "lo": lo, "hi": hi}
-            )
+        ent = (
+            pd.DataFrame({"image_id": meta["image_id"], "lo": lo, "hi": hi})
             .groupby("image_id", sort=True)
             .agg(lo=("lo", "mean"), hi=("hi", "mean"), n=("lo", "size"))
         )
-        keys = g.index.to_numpy(np.int64)
 
-        def _exact(sel: np.ndarray) -> pd.DataFrame:
-            sub = meta[meta["image_id"].isin(set(int(v) for v in sel))]
+        def _exact(sub: pd.DataFrame) -> pd.DataFrame:
             pdf = self.exact_cp(sub, (term,))
-            return (
-                pdf.groupby("image_id", sort=True)["cp_0"].mean().rename("val").reset_index()
-            )
+            return pdf.groupby("image_id", sort=True)["cp_0"].mean().rename("val").reset_index()
 
-        res, n_verified_groups, loaded = self._topk_refine(
-            keys,
-            g["lo"].to_numpy(),
-            g["hi"].to_numpy(),
-            k,
-            descending,
-            _exact,
-            g["n"].to_numpy(np.int64),
-        )
-        stats = QueryStats(
-            n_targeted=len(meta),
-            n_pruned=len(meta) - loaded,
-            n_verified=loaded,
-            masks_loaded=loaded,
-        )
-        return QueryResult(res.rename(columns={"key": "image_id"}), stats)
+        return self._rank(meta, "image_id", ent, k, descending, _exact)
 
     def maskagg_topk(
         self,
@@ -458,47 +393,22 @@ class MaskSearchEngine:
         term = CPTerm(lv=t, uv=1.0, roi=roi)
         meta = self.target(model_ids=model_ids, image_ids=image_ids)
         lo, hi = self.bounds(meta, term)
-        areas = (
-            _meta_rois(meta, term, self.w, self.h)[:, [2, 3]]
-            - _meta_rois(meta, term, self.w, self.h)[:, [0, 1]]
-        ).prod(axis=1)
-        gdf = pd.DataFrame(
-            {
-                "image_id": meta["image_id"].to_numpy(np.int64),
-                "lo": lo,
-                "hi": hi,
-                "area": areas,
-            }
+        r = term.rois(meta, self.w, self.h)
+        ent = (
+            pd.DataFrame(
+                {
+                    "image_id": meta["image_id"],
+                    "lo": lo,
+                    "hi": hi,
+                    "area": (r[:, 2] - r[:, 0]) * (r[:, 3] - r[:, 1]),
+                }
+            )
+            .groupby("image_id", sort=True)
+            .agg(lo=("lo", "sum"), hi=("hi", "min"), n=("lo", "size"), area=("area", "first"))
         )
-        g = gdf.groupby("image_id", sort=True).agg(
-            lo_sum=("lo", "sum"), hi_min=("hi", "min"), n=("lo", "size"), area=("area", "first")
-        )
-        g_lo = np.maximum(g["lo_sum"] - (g["n"] - 1) * g["area"], 0).to_numpy()
-        g_hi = g["hi_min"].to_numpy()
-        keys = g.index.to_numpy(np.int64)
+        ent["lo"] = np.maximum(ent["lo"] - (ent["n"] - 1) * ent["area"], 0)
 
-        def _exact(sel: np.ndarray) -> pd.DataFrame:
-            sub = meta[meta["image_id"].isin(set(int(v) for v in sel))]
-            return self.exact_maskagg_cp(sub, t, term)
+        def _exact(sub: pd.DataFrame) -> pd.DataFrame:
+            return verify.exact_maskagg_pdf(self.spark, self.store, sub, t, term)
 
-        res, n_verified_groups, loaded = self._topk_refine(
-            keys, g_lo, g_hi, k, descending, _exact, g["n"].to_numpy(np.int64)
-        )
-        stats = QueryStats(
-            n_targeted=len(meta),
-            n_pruned=len(meta) - loaded,
-            n_verified=loaded,
-            masks_loaded=loaded,
-        )
-        out = res.rename(columns={"key": "image_id"})
-        out["val"] = out["val"].astype(np.int64)
-        return QueryResult(out, stats)
-
-    def exact_maskagg_cp(
-        self, meta: pd.DataFrame, t: float, term: CPTerm
-    ) -> pd.DataFrame:
-        """Exact per-image ``CP(INTERSECT(masks >= t), roi, (lv, uv))``:
-        a grouped ``applyInPandas`` over the store scan, so each image's
-        masks are aggregated where they land after the shuffle."""
-        return verify.exact_maskagg_pdf(self.spark, self.store, meta, t, term)
-
+        return self._rank(meta, "image_id", ent, k, descending, _exact)

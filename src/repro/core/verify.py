@@ -58,21 +58,6 @@ def _target_scan(spark: SparkSession, store: MaskStore, meta: pd.DataFrame):
     return datasource.scan(spark, store.root, io_delay_ms=delay, mask_ids=ids)
 
 
-def _term_params(meta: pd.DataFrame, terms, w: int, h: int) -> dict:
-    """Per-mask resolved (x1, y1, x2, y2, lv, uv) for every term."""
-    return {
-        int(r.mask_id): [
-            (
-                *t.resolve_roi(w, h, (r.obj_x1, r.obj_y1, r.obj_x2, r.obj_y2)),
-                t.lv,
-                t.uv,
-            )
-            for t in terms
-        ]
-        for r in meta.itertuples()
-    }
-
-
 def _cp_chi_scan(
     spark: SparkSession,
     store: MaskStore,
@@ -92,8 +77,11 @@ def _cp_chi_scan(
     empty = pd.DataFrame({c: pd.Series(dtype=object if c == "h" else np.int64) for c in names})
     if len(meta) == 0:
         return empty
-    params = _term_params(meta, terms, store.spec.width, store.spec.height)
-    bc = spark.sparkContext.broadcast((params, chi_ids))
+    w, h = store.spec.width, store.spec.height
+    rois = np.stack([t.rois(meta, w, h) for t in terms], axis=1)  # (N, terms, 4)
+    params = dict(zip(meta["mask_id"].tolist(), rois.tolist()))
+    ranges = [(t.lv, t.uv) for t in terms]
+    bc = spark.sparkContext.broadcast((params, ranges, chi_ids))
     df = _target_scan(spark, store, meta)
     schema = (
         "mask_id long, image_id long, "
@@ -102,17 +90,14 @@ def _cp_chi_scan(
     )
 
     def _kernel(batches):
-        prm, chis = bc.value
+        prm, rng, chis = bc.value
         for pdf in batches:
             rows = []
             for mid, img, hh, ww, vals in zip(
                 pdf["mask_id"], pdf["image_id"], pdf["height"], pdf["width"], pdf["values"]
             ):
                 mask = np.asarray(vals, dtype=np.float32).reshape(hh, ww)
-                cps = [
-                    cp(mask, (x1, y1, x2, y2), lv, uv)
-                    for (x1, y1, x2, y2, lv, uv) in prm[int(mid)]
-                ]
+                cps = [cp(mask, r, lv, uv) for r, (lv, uv) in zip(prm[int(mid)], rng)]
                 h_out = (
                     build_chi_array(mask, cfg).ravel().tolist()
                     if int(mid) in chis
@@ -154,11 +139,8 @@ def exact_maskagg_pdf(
         return pd.DataFrame(
             {"image_id": pd.Series(dtype=np.int64), "val": pd.Series(dtype=np.int64)}
         )
-    w, h = store.spec.width, store.spec.height
-    rois = {
-        int(r.image_id): term.resolve_roi(w, h, (r.obj_x1, r.obj_y1, r.obj_x2, r.obj_y2))
-        for r in meta.itertuples()
-    }
+    rois = term.rois(meta, store.spec.width, store.spec.height)
+    rois = dict(zip(meta["image_id"].tolist(), rois.tolist()))
     bc = spark.sparkContext.broadcast((rois, t, term.lv, term.uv))
     df = _target_scan(spark, store, meta)
 

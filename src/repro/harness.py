@@ -9,6 +9,7 @@ the paper's numbers.
 """
 from __future__ import annotations
 
+import glob
 import os
 import time
 
@@ -19,7 +20,7 @@ from pyspark.sql import SparkSession
 from repro.baselines.full_scan import FullScanBaseline
 from repro.core.bounds import cp_bounds_batch
 from repro.core.chi import ChiConfig, ChiIndex, build_index
-from repro.core.executor import MaskSearchEngine, _meta_rois
+from repro.core.executor import MaskSearchEngine
 from repro.core.cp import CPTerm
 from repro.masks.synth import IMAGENET_LITE, TINY, WILDS_LITE, DatasetSpec
 from repro.maskstore.store import MaskStore, build_store
@@ -63,9 +64,12 @@ def get_store(spark: SparkSession, name: str) -> MaskStore:
 
 
 def ensure_index(spark: SparkSession, store: MaskStore, cfg: ChiConfig) -> str:
-    """Build the CHI Parquet once per (store, config)."""
+    """Build the CHI Parquet once per (store, config). A directory is
+    reused only when it holds the Parquet files as well as the
+    ``_SUCCESS`` marker."""
     path = store.index_path(cfg)
-    if not os.path.exists(os.path.join(path, "_SUCCESS")):
+    done = os.path.exists(os.path.join(path, "_SUCCESS"))
+    if not (done and glob.glob(os.path.join(path, "*.parquet"))):
         build_index(spark, store, cfg)
     return path
 
@@ -296,8 +300,7 @@ def run_bound_tightness(
         path = ensure_index(spark, store, cfg)
         idx = ChiIndex.load(spark, path, cfg)
         H = idx.gather(sample["mask_id"].to_numpy(np.int64))
-        term = CPTerm(0.0, 1.0, "object")
-        rois = _meta_rois(sample, term, spec.width, spec.height)
+        rois = CPTerm(0.0, 1.0, "object").rois(sample, spec.width, spec.height)
         areas = ((rois[:, 2] - rois[:, 0]) * (rois[:, 3] - rois[:, 1])).astype(float)
         for lv, uv in ((0.6, 1.0), (0.8, 1.0)):
             lb, ub = cp_bounds_batch(H, rois, lv, uv, cfg)

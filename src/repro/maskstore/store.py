@@ -20,6 +20,8 @@ deterministic per-mask generators from :mod:`repro.masks.synth`.
 """
 from __future__ import annotations
 
+import contextlib
+import glob
 import json
 import os
 
@@ -156,12 +158,18 @@ def build_store(spark: SparkSession, spec: DatasetSpec, root: str) -> MaskStore:
         "model_ids": list(spec.model_ids),
         "seed": spec.seed,
     }
+    masks_dir = os.path.join(root, "masks")
     if os.path.exists(done_path) and os.path.exists(spec_path):
         with open(spec_path) as f:
-            if json.load(f) == spec_dict:
-                return MaskStore(root)
-
-    masks_dir = os.path.join(root, "masks")
+            same = json.load(f) == spec_dict
+        # Markers alone are not trusted: the content must be there too.
+        if same and glob.glob(os.path.join(root, "metadata", "*.parquet")) and all(
+            os.path.exists(os.path.join(masks_dir, f"{m}.npy")) for m in range(spec.n_masks)
+        ):
+            return MaskStore(root)
+    # A build that stops part-way must not leave a store that looks done.
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(done_path)
     os.makedirs(masks_dir, exist_ok=True)
     with open(spec_path, "w") as f:
         json.dump(spec_dict, f)

@@ -95,6 +95,18 @@ class WorkloadRun:
         return self.setup_time + np.concatenate([[0.0], np.cumsum(self.query_times)])
 
 
+def _run(method: str, ex, setup_time: float, workload: list[WorkloadQuery]) -> WorkloadRun:
+    """Time each query of ``workload`` on executor ``ex``."""
+    times, loads, results = [], [], []
+    for wq in workload:
+        t0 = time.perf_counter()
+        r = wq.query.run(ex, mask_ids=wq.mask_ids)
+        times.append(time.perf_counter() - t0)
+        loads.append(r.stats.masks_loaded)
+        results.append(r.ids())
+    return WorkloadRun(method, setup_time, times, loads, results)
+
+
 def run_ms(
     spark: SparkSession,
     store: MaskStore,
@@ -106,15 +118,7 @@ def run_ms(
     path = build_index(spark, store, cfg, out_path=store.index_path(cfg) + "_ms_run")
     index = ChiIndex.load(spark, path, cfg)
     setup = time.perf_counter() - t0
-    engine = MaskSearchEngine(spark, store, index)
-    times, loads, results = [], [], []
-    for wq in workload:
-        t0 = time.perf_counter()
-        r = wq.query.run(engine, mask_ids=wq.mask_ids)
-        times.append(time.perf_counter() - t0)
-        loads.append(r.stats.masks_loaded)
-        results.append(r.ids())
-    return WorkloadRun("MS", setup, times, loads, results)
+    return _run("MS", MaskSearchEngine(spark, store, index), setup, workload)
 
 
 def run_msii(
@@ -124,15 +128,7 @@ def run_msii(
     workload: list[WorkloadQuery],
 ) -> WorkloadRun:
     """MaskSearch with incremental indexing (MS-II in Fig. 11)."""
-    session = IncrementalSession(spark, store, cfg)
-    times, loads, results = [], [], []
-    for wq in workload:
-        t0 = time.perf_counter()
-        r = session.filter(wq.query.predicate(), mask_ids=wq.mask_ids)
-        times.append(time.perf_counter() - t0)
-        loads.append(r.stats.masks_loaded)
-        results.append(r.ids())
-    return WorkloadRun("MS-II", 0.0, times, loads, results)
+    return _run("MS-II", IncrementalSession(spark, store, cfg), 0.0, workload)
 
 
 def run_numpy(
@@ -141,12 +137,4 @@ def run_numpy(
     workload: list[WorkloadQuery],
 ) -> WorkloadRun:
     """Full-scan baseline (NumPy in Fig. 11; same loads as PG/TileDB)."""
-    base = FullScanBaseline(spark, store)
-    times, loads, results = [], [], []
-    for wq in workload:
-        t0 = time.perf_counter()
-        r = wq.query.run(base, mask_ids=wq.mask_ids)
-        times.append(time.perf_counter() - t0)
-        loads.append(r.stats.masks_loaded)
-        results.append(r.ids())
-    return WorkloadRun("NumPy", 0.0, times, loads, results)
+    return _run("NumPy", FullScanBaseline(spark, store), 0.0, workload)

@@ -155,3 +155,10 @@ def test_fml_property(spark, engine):
     r = engine.filter(pred, model_id=1)
     assert 0.0 <= r.stats.fml <= 1.0
     assert r.stats.fml == r.stats.masks_loaded / r.stats.n_targeted
+
+
+def test_unknown_symbolic_roi_raises(spark, engine):
+    """Rejected even when the bounds alone would prune every mask."""
+    pred = FilterPredicate(terms=(CPTerm(0.5, 1.0, "objet"),), op=GT, threshold=10**6)
+    with pytest.raises(ValueError, match="unknown symbolic roi"):
+        engine.filter(pred)

@@ -1,9 +1,12 @@
 """Mask store substrate tests."""
+import json
 import os
 
 import numpy as np
 import pytest
 
+from repro import harness
+from repro.core.chi import ChiIndex
 from repro.masks.synth import TINY, generate_mask
 from repro.maskstore.store import MaskStore, build_store
 
@@ -74,3 +77,36 @@ class TestMetadata:
 
     def test_index_path_per_config(self, tiny_store, tiny_cfg):
         assert tiny_store.index_path(tiny_cfg).endswith(tiny_cfg.tag())
+
+
+class TestMarkersAreNotTrusted:
+    """A directory holding only the build markers (``_DONE``,
+    ``_SPEC.json``, ``_SUCCESS``) is rebuilt, not reused."""
+
+    @pytest.fixture(scope="class")
+    def marker_store(self, spark, tmp_path_factory):
+        root = tmp_path_factory.mktemp("markers_only")
+        spec = {
+            "name": TINY.name,
+            "n_images": TINY.n_images,
+            "width": TINY.width,
+            "height": TINY.height,
+            "model_ids": list(TINY.model_ids),
+            "seed": TINY.seed,
+        }
+        (root / "_SPEC.json").write_text(json.dumps(spec))
+        (root / "_DONE").write_text("ok")
+        (root / "metadata").mkdir()
+        (root / "metadata" / "_SUCCESS").write_text("")
+        return build_store(spark, TINY, str(root))
+
+    def test_build_store_rebuilds(self, spark, marker_store):
+        assert len(marker_store.metadata_pandas(spark)) == TINY.n_masks
+        assert all(os.path.exists(marker_store.mask_path(m)) for m in range(TINY.n_masks))
+
+    def test_ensure_index_rebuilds(self, spark, marker_store, tiny_cfg):
+        path = marker_store.index_path(tiny_cfg)
+        os.makedirs(path)
+        open(os.path.join(path, "_SUCCESS"), "w").close()
+        assert harness.ensure_index(spark, marker_store, tiny_cfg) == path
+        assert len(ChiIndex.load(spark, path, tiny_cfg)) == TINY.n_masks

@@ -5,7 +5,7 @@ import pytest
 
 from repro.masks.synth import TINY
 from repro.workloads import random_queries as rq
-from repro.workloads.multi_query import P_SEEN, generate_workload
+from repro.workloads.multi_query import P_SEEN, generate_workload, run_ms, run_msii, run_numpy
 from repro.workloads.queries import scale_count, scale_roi, table1_queries
 
 
@@ -111,3 +111,15 @@ class TestTable1Scaling:
         qs = table1_queries(TINY)
         assert [q.name for q in qs] == ["Q1", "Q2", "Q3", "Q4", "Q5"]
         assert [q.kind for q in qs] == ["filter", "filter", "topk", "agg", "maskagg"]
+
+
+def test_fig11_runners_agree(spark, tiny_store, tiny_cfg):
+    """MS, MS-II and the full scan answer a workload identically; the full
+    scan loads every target, MS-II's first query every one of its own."""
+    wl = generate_workload(TINY, 2, 3)
+    ms = run_ms(spark, tiny_store, tiny_cfg, wl)
+    msii = run_msii(spark, tiny_store, tiny_cfg, wl)
+    full = run_numpy(spark, tiny_store, wl)
+    assert ms.results == msii.results == full.results
+    assert full.masks_loaded == [len(wq.mask_ids) for wq in wl]
+    assert msii.masks_loaded[0] == len(wl[0].mask_ids)

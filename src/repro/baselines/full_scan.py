@@ -23,6 +23,11 @@ from repro.maskstore import datasource
 from repro.maskstore.store import MaskStore
 
 
+def _check_k(k: int) -> None:
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+
+
 class FullScanBaseline:
     """No-index executor: loads all targeted masks for every query."""
 
@@ -69,6 +74,7 @@ class FullScanBaseline:
     def topk(
         self, term: CPTerm, k: int, descending=True, model_id=None, mask_ids=None
     ) -> QueryResult:
+        _check_k(k)
         meta = self._target(model_id=model_id, mask_ids=mask_ids)
         exact = verify.exact_cp_pdf(self.spark, self.store, meta, (term,))
         exact = exact.rename(columns={"cp_0": "val"}).sort_values(
@@ -81,6 +87,7 @@ class FullScanBaseline:
     def topk_ratio(
         self, num: CPTerm, den: CPTerm, k: int, descending=False, model_id=None, mask_ids=None
     ) -> QueryResult:
+        _check_k(k)
         meta = self._target(model_id=model_id, mask_ids=mask_ids)
         exact = verify.exact_cp_pdf(self.spark, self.store, meta, (num, den))
         exact = exact[exact["cp_1"] > 0].copy()
@@ -93,6 +100,7 @@ class FullScanBaseline:
     def agg_topk(
         self, term: CPTerm, k: int, descending=True, model_ids=None, image_ids=None
     ) -> QueryResult:
+        _check_k(k)
         meta = self._target(model_ids=model_ids, image_ids=image_ids)
         exact = verify.exact_cp_pdf(self.spark, self.store, meta, (term,))
         agg = (
@@ -104,6 +112,7 @@ class FullScanBaseline:
     def maskagg_topk(
         self, t: float, roi, k: int, descending=True, model_ids=None, image_ids=None
     ) -> QueryResult:
+        _check_k(k)
         term = CPTerm(lv=t, uv=1.0, roi=roi)
         meta = self._target(model_ids=model_ids, image_ids=image_ids)
         agg = verify.exact_maskagg_pdf(self.spark, self.store, meta, t, term)

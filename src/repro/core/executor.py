@@ -257,6 +257,8 @@ class MaskSearchEngine:
         Ties are handled soundly (``hi >= tau`` stays a candidate) and
         broken by key ascending, matching the oracle's ORDER BY.
         """
+        if k < 1:
+            raise ValueError(f"k must be >= 1, got {k}")
         sign = 1.0 if descending else -1.0
         keys = ent.index.to_numpy(np.int64)
         LO = sign * ent["lo" if descending else "hi"].to_numpy(np.float64)

@@ -244,13 +244,23 @@ def scan(
 ):
     """Convenience: DataFrame over the store at ``root``.
 
+    ``n_partitions`` defaults to the session's parallelism
+    (``defaultParallelism``): one read task per core, capped by the
+    reader at the number of selected masks. Each task runs two Python
+    workers (this reader and the caller's kernel), so more tasks than
+    cores only add waves of fixed per-task cost.
+
     ``mask_ids`` (if given) is passed through the ``maskids`` option —
     the large-set target path; small sets should use
     ``.where(col("mask_id").isin(...))`` to exercise Catalyst pushdown.
     """
-    r = spark.read.format("maskstore").option("path", root)
-    if n_partitions is not None:
-        r = r.option("numpartitions", str(n_partitions))
+    if n_partitions is None:
+        n_partitions = spark.sparkContext.defaultParallelism
+    r = (
+        spark.read.format("maskstore")
+        .option("path", root)
+        .option("numpartitions", str(n_partitions))
+    )
     if io_delay_ms:
         r = r.option("iodelayms", str(io_delay_ms))
     if mask_ids is not None:

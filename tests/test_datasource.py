@@ -152,3 +152,28 @@ class TestPushdown:
         t0 = time.perf_counter()
         ds.scan(spark, tiny_store.root, mask_ids=[0], io_delay_ms=300).collect()
         assert time.perf_counter() - t0 >= 0.3
+
+
+@pytest.mark.parametrize(
+    "select, in_filter_max",
+    [
+        (lambda m: m, None),
+        (lambda m: m[m["model_id"] == 1], None),
+        (lambda m: m.iloc[[3, 40, 77]], None),
+        (lambda m: m.iloc[::2].head(50), None),
+        (lambda m: m.iloc[::2].head(50), 10),
+    ],
+    ids=["full_store", "one_model", "mask_id_in_3", "mask_id_in_50", "maskids_option"],
+)
+def test_verification_scan_runs_one_task_per_core(
+    spark, tiny_store, tiny_meta, monkeypatch, select, in_filter_max
+):
+    """Every pruning path of the verification scan fans out to the
+    session's parallelism, capped at the number of targeted masks."""
+    from repro.core import verify
+
+    if in_filter_max is not None:
+        monkeypatch.setattr(verify, "IN_FILTER_MAX", in_filter_max)
+    meta = select(tiny_meta)
+    df = verify._target_scan(spark, tiny_store, meta)
+    assert df.rdd.getNumPartitions() == min(spark.sparkContext.defaultParallelism, len(meta))

@@ -13,21 +13,28 @@ pixel-value histogram — exactly Eq. (1) of the paper with
 are all zeros (the paper's implicit ``(0, 0)`` corner) so Eq. (2) is four
 array lookups with no boundary cases.
 
-The distributed build (:func:`build_index`) is a Spark ``mapInPandas``
+The distributed build (:func:`build_index`) is a Spark ``mapInArrow``
 scan over the mask store: each task loads its masks, computes ``H`` with
 vectorised NumPy, and emits one row per mask; the result is persisted as
-Parquet next to the store. :class:`ChiIndex` then loads that Parquet into
-the paper's "optimized array index structure": one contiguous int64
-tensor with ``mask_id -> row`` offsets, held in memory for the session.
+Parquet next to the store. :class:`ChiIndex` is the paper's "optimized
+array index structure": one int64 tensor whose row ``i`` is the CHI of
+mask id ``i`` (ids are dense per store), held in memory for the session
+and read from / written to that Parquet on the driver with pyarrow.
+
+An index row holds ``H`` flattened in C order (:func:`to_arrow`);
+:func:`rows_to_tensor` is the one reshape back.
 """
 from __future__ import annotations
 
+import glob
+import os
+import shutil
 from dataclasses import dataclass
 
 import numpy as np
-import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
+import pyarrow as pa
+import pyarrow.parquet as pq
+from pyspark.sql import SparkSession
 
 
 @dataclass(frozen=True)
@@ -54,6 +61,12 @@ class ChiConfig:
 
     def tag(self) -> str:
         return f"chi_{self.wc}x{self.hc}_b{self.b}"
+
+
+def row_shape(cfg: ChiConfig, w: int, h: int) -> tuple[int, int, int]:
+    """Shape ``(ny + 1, nx + 1, b)`` of the CHI of one ``w`` x ``h`` mask."""
+    nx, ny = cfg.grid(w, h)
+    return (ny + 1, nx + 1, cfg.b)
 
 
 def build_chi_array(mask: np.ndarray, cfg: ChiConfig) -> np.ndarray:
@@ -83,6 +96,35 @@ _INDEX_SCHEMA = (
 )
 
 
+def to_arrow(mask_ids: np.ndarray, H: np.ndarray, cfg: ChiConfig) -> pa.RecordBatch:
+    """Index rows (``_INDEX_SCHEMA``) for the CHIs ``H``, shape
+    ``(n, ny + 1, nx + 1, b)``, of masks ``mask_ids``."""
+    n, ny1, nx1, b = H.shape
+    cols = {"mask_id": pa.array(mask_ids, pa.int64())}
+    for k, v in {"ny": ny1 - 1, "nx": nx1 - 1, "b": b, "wc": cfg.wc, "hc": cfg.hc}.items():
+        cols[k] = pa.array(np.full(n, v, np.int32))
+    offsets = pa.array(np.arange(n + 1) * (ny1 * nx1 * b), pa.int32())
+    cols["h"] = pa.ListArray.from_arrays(offsets, pa.array(np.asarray(H, np.int64).reshape(-1)))
+    return pa.RecordBatch.from_pydict(cols)
+
+
+def rows_to_tensor(h: pa.ListArray, shape: tuple[int, int, int]) -> np.ndarray:
+    """``(n, *shape)`` int64 tensor from ``n`` flattened CHI rows."""
+    return h.flatten().to_numpy().reshape(-1, *shape)
+
+
+def from_arrow(batch: pa.RecordBatch, cfg: ChiConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Inverse of :func:`to_arrow` for a non-empty batch. Every row must
+    be built under ``cfg``: bounds from a CHI read under another config
+    are unsound."""
+    for c in ("wc", "hc", "b"):
+        if (batch.column(c).to_numpy() != getattr(cfg, c)).any():
+            raise ValueError(f"index rows built with another {c}, expected {cfg}")
+    nx, ny = batch.column("nx")[0].as_py(), batch.column("ny")[0].as_py()
+    shape = row_shape(cfg, nx * cfg.wc, ny * cfg.hc)
+    return batch.column("mask_id").to_numpy(), rows_to_tensor(batch.column("h"), shape)
+
+
 def build_index(
     spark: SparkSession, store, cfg: ChiConfig, out_path: str | None = None
 ) -> str:
@@ -92,8 +134,8 @@ def build_index(
     ``store`` is a :class:`repro.maskstore.store.MaskStore`.
     """
     out = out_path or store.index_path(cfg)
-    meta = store.metadata(spark).select("mask_id", "path", "width", "height")
-    wc, hc, b = cfg.wc, cfg.hc, cfg.b
+    meta = store.metadata(spark).select("mask_id", "path")
+    shape = row_shape(cfg, store.spec.width, store.spec.height)
     # Index construction loads every mask once; in simulated-EBS mode it
     # pays the same per-mask latency as query-time loads (fair account
     # of the paper's up-front indexing cost, §4.5).
@@ -102,34 +144,19 @@ def build_index(
     def _build(batches):
         import time as _time
 
-        for pdf in batches:
-            rows = []
-            for mask_id, path, w, h in zip(
-                pdf["mask_id"], pdf["path"], pdf["width"], pdf["height"]
-            ):
+        for batch in batches:
+            paths = batch.column("path").to_pylist()
+            H = np.empty((len(paths), *shape), dtype=np.int64)
+            for i, path in enumerate(paths):
                 if delay_s:
                     _time.sleep(delay_s)
-                mask = np.load(path)
-                H = build_chi_array(mask, ChiConfig(wc, hc, b))
-                rows.append(
-                    (
-                        int(mask_id),
-                        H.shape[0] - 1,
-                        H.shape[1] - 1,
-                        b,
-                        wc,
-                        hc,
-                        H.ravel().tolist(),
-                    )
-                )
-            yield pd.DataFrame(
-                rows, columns=["mask_id", "ny", "nx", "b", "wc", "hc", "h"]
-            )
+                H[i] = build_chi_array(np.load(path), cfg)
+            yield to_arrow(batch.column("mask_id").to_numpy(), H, cfg)
 
     n_part = max(1, min(spark.sparkContext.defaultParallelism, store.n_masks()))
     (
         meta.repartition(n_part)
-        .mapInPandas(_build, schema=_INDEX_SCHEMA)
+        .mapInArrow(_build, schema=_INDEX_SCHEMA)
         .write.mode("overwrite")
         .parquet(out)
     )
@@ -139,96 +166,100 @@ def build_index(
 class ChiIndex:
     """In-memory CHI for a set of homogeneous masks (same shape/config).
 
-    Mirrors the paper's optimized array structure: a single contiguous
-    ``(N, ny + 1, nx + 1, b)`` int64 tensor plus an id->offset map, so a
-    lookup is plain array indexing with no pointer chasing. Supports
-    incremental growth (:meth:`add`) for §3.6.
+    Mirrors the paper's optimized array structure: one
+    ``(max_id + 1, ny + 1, nx + 1, b)`` int64 tensor addressed by
+    ``mask_id`` plus a boolean vector of the ids present, so a lookup is
+    plain array indexing with no pointer chasing. Supports incremental
+    growth (:meth:`add`) for §3.6.
     """
 
     def __init__(self, cfg: ChiConfig):
         self.cfg = cfg
-        self._ids: list[int] = []
-        self._pos: dict[int, int] = {}
-        self._H: np.ndarray | None = None  # (N, ny+1, nx+1, b)
+        self._H: np.ndarray | None = None  # (max_id + 1, ny+1, nx+1, b)
+        self._present = np.zeros(0, dtype=bool)
 
     # -- construction ---------------------------------------------------
     @classmethod
     def load(cls, spark: SparkSession, path: str, cfg: ChiConfig) -> "ChiIndex":
-        """Load a persisted index Parquet (written by :func:`build_index`)."""
-        pdf = spark.read.parquet(path).orderBy(F.col("mask_id")).toPandas()
+        """Load a persisted index (written by :func:`build_index` or
+        :meth:`save`) on the driver with pyarrow, one record batch at a
+        time, so no whole-table copy is held beside the tensor; ``spark``
+        is not used."""
+        files = sorted(glob.glob(os.path.join(path, "*.parquet")))
+        if not files:
+            raise FileNotFoundError(f"no CHI Parquet under {path}")
         idx = cls(cfg)
-        if len(pdf):
-            # Bounds from a CHI read under another config are unsound.
-            built = ChiConfig(*(int(pdf[c].iat[0]) for c in ("wc", "hc", "b")))
-            if built != cfg:
-                raise ValueError(f"index built with {built}, expected {cfg}")
-            ny, nx = int(pdf["ny"].iat[0]), int(pdf["nx"].iat[0])
-            H = np.stack(
-                [np.asarray(h, dtype=np.int64).reshape(ny + 1, nx + 1, cfg.b) for h in pdf["h"]]
-            )
-            idx.add(pdf["mask_id"].astype(np.int64).to_numpy(), H)
+        for f in files:
+            with pq.ParquetFile(f) as pf:
+                for batch in pf.iter_batches(use_threads=False):
+                    idx.add(*from_arrow(batch, cfg))
         return idx
 
     def save(self, spark: SparkSession, path: str) -> str:
         """Persist the index as Parquet in :func:`build_index`'s format,
-        readable by :meth:`load`. Returns ``path``."""
+        readable by :meth:`load`: ``path``'s contents are replaced by one
+        Parquet file, written on the driver with pyarrow, and ``_SUCCESS``
+        is written last. ``spark`` is not used. Returns ``path``."""
         if self._H is None:
             raise ValueError("nothing to persist: index is empty")
-        _, ny1, nx1, b = self._H.shape
-        pdf = pd.DataFrame(
-            {
-                "mask_id": np.asarray(self._ids, dtype=np.int64),
-                "ny": ny1 - 1,
-                "nx": nx1 - 1,
-                "b": b,
-                "wc": self.cfg.wc,
-                "hc": self.cfg.hc,
-                "h": [row.ravel().tolist() for row in self._H],
-            }
-        )
-        spark.createDataFrame(pdf, schema=_INDEX_SCHEMA).write.mode("overwrite").parquet(path)
+        ids = np.flatnonzero(self._present)
+        rows = pa.Table.from_batches([to_arrow(ids, self._H[ids], self.cfg)])
+        if os.path.isdir(path):
+            shutil.rmtree(path)
+        os.makedirs(path)
+        pq.write_table(rows, os.path.join(path, "part-00000.parquet"))
+        open(os.path.join(path, "_SUCCESS"), "w").close()
         return path
 
     def add(self, mask_ids: np.ndarray, H: np.ndarray) -> None:
-        """Append CHIs for new masks (incremental indexing, §3.6)."""
-        if len(mask_ids) == 0:
+        """Store CHIs ``H`` for masks ``mask_ids`` (incremental indexing,
+        §3.6)."""
+        ids = np.asarray(mask_ids, dtype=np.int64)
+        if len(ids) != len(H) or (ids < 0).any():
+            raise ValueError(f"need one CHI per non-negative mask id: {len(H)} for {len(ids)} ids")
+        if len(ids) == 0:
             return
         if self._H is None:
-            self._H = np.ascontiguousarray(H, dtype=np.int64)
-        else:
-            if H.shape[1:] != self._H.shape[1:]:
-                raise ValueError("CHI shape mismatch on incremental add")
-            self._H = np.concatenate([self._H, H.astype(np.int64)])
-        base = len(self._ids)
-        for off, mid in enumerate(mask_ids):
-            self._pos[int(mid)] = base + off
-        self._ids.extend(int(m) for m in mask_ids)
+            self._H = np.zeros((0, *H.shape[1:]), dtype=np.int64)
+        if H.shape[1:] != self._H.shape[1:]:
+            raise ValueError("CHI shape mismatch on incremental add")
+        n = max(len(self._H), int(ids.max()) + 1)
+        # Grown in place (realloc, zero-filled), not copied into a new
+        # tensor; resize requires that no other reference exists.
+        self._H.resize((n, *self._H.shape[1:]))
+        self._present.resize(n)
+        self._H[ids] = H
+        self._present[ids] = True
 
     # -- access ---------------------------------------------------------
     def __len__(self) -> int:
-        return len(self._ids)
+        return int(self._present.sum())
 
     def __contains__(self, mask_id: int) -> bool:
-        return int(mask_id) in self._pos
+        return bool(self.has(np.array([mask_id]))[0])
+
+    @property
+    def row_shape(self) -> tuple[int, int, int] | None:
+        """``(ny + 1, nx + 1, b)`` of the stored CHIs; ``None`` while empty."""
+        return None if self._H is None else self._H.shape[1:]
 
     def has(self, mask_ids: np.ndarray) -> np.ndarray:
-        return np.fromiter(
-            (int(m) in self._pos for m in mask_ids), dtype=bool, count=len(mask_ids)
-        )
+        ids = np.asarray(mask_ids, dtype=np.int64)
+        ok = (ids >= 0) & (ids < len(self._present))
+        ok[ok] = self._present[ids[ok]]
+        return ok
 
     def gather(self, mask_ids: np.ndarray) -> np.ndarray:
         """Stacked ``(n, ny + 1, nx + 1, b)`` tensor for ``mask_ids``."""
-        if self._H is None:
-            raise KeyError("index is empty")
-        rows = np.fromiter(
-            (self._pos[int(m)] for m in mask_ids), dtype=np.int64, count=len(mask_ids)
-        )
-        return self._H[rows]
+        ids = np.asarray(mask_ids, dtype=np.int64)
+        if self._H is None or not self.has(ids).all():
+            raise KeyError(f"not indexed: {ids[~self.has(ids)][:10].tolist()}")
+        return self._H[ids]
 
     def nbytes(self) -> int:
         """Paper-style uncompressed size: 4 B per stored (cell, bin) count,
         zero padding row/column excluded (it is never persisted)."""
         if self._H is None:
             return 0
-        n, ny1, nx1, b = self._H.shape
-        return 4 * n * (ny1 - 1) * (nx1 - 1) * b
+        ny1, nx1, b = self._H.shape[1:]
+        return 4 * len(self) * (ny1 - 1) * (nx1 - 1) * b

@@ -42,7 +42,7 @@ from pyspark.sql import SparkSession
 
 from repro.core import verify
 from repro.core.bounds import cp_bounds_batch
-from repro.core.chi import ChiIndex
+from repro.core.chi import ChiIndex, row_shape
 from repro.core.cp import CPTerm
 from repro.maskstore import datasource
 from repro.maskstore.store import MaskStore
@@ -109,6 +109,9 @@ class MaskSearchEngine:
         self.meta = store.metadata_pandas(spark)
         self.w = store.spec.width
         self.h = store.spec.height
+        # Bounds from CHIs of another mask size are unsound.
+        if index.row_shape not in (None, row_shape(index.cfg, self.w, self.h)):
+            raise ValueError(f"{index.row_shape} CHIs do not fit {self.w}x{self.h} masks")
 
     # ------------------------------------------------------------------
     # targeting & bounds (filter stage — index only, no mask I/O)

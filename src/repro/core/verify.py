@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 from pyspark.sql import SparkSession
 from pyspark.sql import functions as F
 
-from repro.core.chi import ChiConfig, build_chi_array
+from repro.core.chi import ChiConfig, build_chi_array, row_shape, rows_to_tensor
 from repro.core.cp import CPTerm, cp, intersect_threshold
 from repro.maskstore import datasource
 from repro.maskstore.store import MaskStore
@@ -180,13 +181,7 @@ def exact_cp_and_chi(
     ``meta``, the CHI outputs only ``chi_ids``.
     """
     out = _cp_chi_scan(spark, store, meta, terms, cfg, frozenset(int(v) for v in chi_ids))
-    nx, ny = cfg.grid(store.spec.width, store.spec.height)
     with_chi = out[out["h"].map(len) > 0]
-    H = (
-        np.stack(
-            [np.asarray(x, dtype=np.int64).reshape(ny + 1, nx + 1, cfg.b) for x in with_chi["h"]]
-        )
-        if len(with_chi)
-        else np.zeros((0, ny + 1, nx + 1, cfg.b), dtype=np.int64)
-    )
+    shape = row_shape(cfg, store.spec.width, store.spec.height)
+    H = rows_to_tensor(pa.array(with_chi["h"], pa.list_(pa.int64())), shape)
     return out.drop(columns=["h"]), with_chi["mask_id"].to_numpy(np.int64), H

@@ -23,8 +23,6 @@ Register once per session with :func:`register`.
 """
 from __future__ import annotations
 
-import glob
-import os
 from dataclasses import dataclass
 from typing import Iterator, List
 
@@ -50,6 +48,8 @@ from pyspark.sql.types import (
     StructType,
 )
 
+from repro.maskstore.store import read_metadata
+
 SCHEMA = StructType(
     [
         StructField("mask_id", LongType()),
@@ -74,17 +74,6 @@ class MaskPartition(InputPartition):
     paths: tuple
     height: int
     width: int
-
-
-def _read_metadata_pandas(root: str):
-    import pyarrow.parquet as pq
-
-    files = sorted(glob.glob(os.path.join(root, "metadata", "*.parquet")))
-    if not files:
-        raise FileNotFoundError(f"no metadata parquet under {root}/metadata")
-    import pyarrow as pa
-
-    return pa.concat_tables([pq.read_table(f) for f in files]).to_pandas()
 
 
 class MaskStoreReader(DataSourceReader):
@@ -148,7 +137,7 @@ class MaskStoreReader(DataSourceReader):
 
     # -- planning ---------------------------------------------------------
     def partitions(self):
-        meta = self._apply_pushed(_read_metadata_pandas(self.root))
+        meta = self._apply_pushed(read_metadata(self.root))
         n = len(meta)
         if n == 0:
             return [MaskPartition((), (), (), (), 0, 0)]

@@ -27,6 +27,8 @@ import os
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
+import pyarrow.parquet as pq
 from pyspark.sql import DataFrame, SparkSession
 
 from repro.masks import synth
@@ -103,11 +105,10 @@ class MaskStore:
         return spark.read.parquet(self.metadata_path)
 
     def metadata_pandas(self, spark: SparkSession) -> pd.DataFrame:
-        """Driver-cached metadata (small: one row per mask)."""
+        """Driver-cached metadata (small: one row per mask), read with
+        pyarrow by :func:`read_metadata`; ``spark`` is not used."""
         if self._meta_pdf is None:
-            self._meta_pdf = (
-                self.metadata(spark).toPandas().sort_values("mask_id").reset_index(drop=True)
-            )
+            self._meta_pdf = read_metadata(self.root)
         return self._meta_pdf
 
     def load_mask(self, mask_id: int) -> np.ndarray:
@@ -116,6 +117,18 @@ class MaskStore:
     def raw_bytes(self) -> int:
         """Uncompressed dataset size: 4 B per pixel (float32)."""
         return 4 * self.spec.n_masks * self.spec.width * self.spec.height
+
+
+def read_metadata(root: str) -> pd.DataFrame:
+    """The metadata table of the store at ``root``, sorted by ``mask_id``,
+    read on the calling process with pyarrow (no Spark job)."""
+    files = sorted(glob.glob(os.path.join(root, "metadata", "*.parquet")))
+    if not files:
+        raise FileNotFoundError(f"no metadata parquet under {root}/metadata")
+    # Single-threaded: the table is small, and Arrow's thread pool would
+    # only add driver memory.
+    table = pa.concat_tables([pq.ParquetFile(f).read(use_threads=False) for f in files])
+    return table.to_pandas(use_threads=False).sort_values("mask_id").reset_index(drop=True)
 
 
 def _metadata_pdf(spec: DatasetSpec, masks_dir: str) -> pd.DataFrame:

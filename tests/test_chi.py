@@ -1,10 +1,18 @@
 """CHI construction tests (paper §3.1), anchored on the paper's Figure 4
 worked example."""
+import glob
+import os
+import shutil
+
 import numpy as np
 import pytest
 
+from repro import harness
 from repro.core.chi import ChiConfig, ChiIndex, build_chi_array, build_index
 from repro.core.cp import cp
+from repro.core.executor import MaskSearchEngine
+from repro.core.incremental import IncrementalSession
+from repro.maskstore.store import MaskStore
 
 # The paper's Figure 4 example mask M (6x6), rows top to bottom.
 FIG4 = np.array(
@@ -137,7 +145,7 @@ class TestChiIndexStructure:
         cfg = ChiConfig(2, 2, 2)
         idx = ChiIndex(cfg)
         idx.add(np.array([1, 3]), np.stack([build_chi_array(FIG4, cfg)] * 2))
-        assert idx.has(np.array([1, 2, 3])).tolist() == [True, False, True]
+        assert idx.has(np.array([1, 2, 3, -1, 4])).tolist() == [True, False, True, False, False]
 
     def test_gather_missing_raises(self):
         cfg = ChiConfig(2, 2, 2)
@@ -145,6 +153,8 @@ class TestChiIndexStructure:
         idx.add(np.array([1]), build_chi_array(FIG4, cfg)[None])
         with pytest.raises(KeyError):
             idx.gather(np.array([2]))
+        with pytest.raises(KeyError):
+            idx.gather(np.array([-1]))
 
     def test_empty_gather_raises(self):
         with pytest.raises(KeyError):
@@ -156,6 +166,16 @@ class TestChiIndexStructure:
         idx.add(np.array([1]), build_chi_array(FIG4, cfg)[None])
         # 3x3 cells x 2 bins x 4 bytes
         assert idx.nbytes() == 4 * 9 * 2
+
+    @pytest.mark.parametrize("ids", [[1, 2], [-1]], ids=["count_mismatch", "negative_id"])
+    def test_add_rejects_bad_ids(self, ids):
+        """Ids address tensor rows: one CHI must not be broadcast onto
+        several ids, and -1 must not address the last row."""
+        cfg = ChiConfig(2, 2, 2)
+        idx = ChiIndex(cfg)
+        with pytest.raises(ValueError):
+            idx.add(np.array(ids), build_chi_array(FIG4, cfg)[None])
+        assert len(idx) == 0
 
     def test_add_shape_mismatch_raises(self):
         cfg = ChiConfig(2, 2, 2)
@@ -192,3 +212,51 @@ class TestDistributedBuild:
             tiny_store.spec.width, tiny_store.spec.height
         )
         assert tiny_index.nbytes() == per_mask * tiny_store.n_masks()
+
+
+class TestDriverSideIO:
+    """The index and the metadata are driver-side tables: read and
+    written without Spark."""
+
+    def test_load_save_and_metadata_start_no_spark_job(
+        self, spark, tiny_store, tiny_index_path, tiny_cfg, tmp_path
+    ):
+        sc = spark.sparkContext
+        group = "driver-side-io"
+        sc.setJobGroup(group, group)
+        try:
+            idx = ChiIndex.load(spark, tiny_index_path, tiny_cfg)
+            idx.save(spark, str(tmp_path / "chi"))
+            meta = MaskStore(tiny_store.root).metadata_pandas(spark)  # fresh, uncached
+        finally:
+            sc.setLocalProperty("spark.jobGroup.id", None)
+        assert len(idx) == len(meta) == tiny_store.n_masks()
+        assert list(sc.statusTracker().getJobIdsForGroup(group)) == []
+
+    def test_persist_replaces_full_index(
+        self, spark, tiny_store, tiny_index_path, tiny_cfg, tmp_path, monkeypatch
+    ):
+        """A 12-mask MS-II index persisted over the full index leaves no
+        stale part file behind."""
+        path = str(tmp_path / "chi")
+        shutil.copytree(tiny_index_path, path)
+        session = IncrementalSession(spark, tiny_store, tiny_cfg)
+        ids = np.arange(12)
+        H = np.stack([build_chi_array(tiny_store.load_mask(m), tiny_cfg) for m in ids])
+        session.index.add(ids, H)
+        assert session.persist(path) == path
+        assert len(glob.glob(os.path.join(path, "*.parquet"))) == 1
+        assert len(ChiIndex.load(spark, path, tiny_cfg)) == 12
+        store = MaskStore(tiny_store.root)
+        monkeypatch.setattr(store, "index_path", lambda cfg: path)
+        assert harness.ensure_index(spark, store, tiny_cfg) == path
+        assert len(ChiIndex.load(spark, path, tiny_cfg)) == 12  # reused, not rebuilt
+
+    def test_engine_rejects_index_for_other_mask_size(self, spark, tiny_store, tiny_cfg):
+        """A CHI of 64x64 masks against the 32x32 tiny store: the right
+        ``ChiConfig``, but every bound would be read off the wrong grid."""
+        big = (np.random.default_rng(0).random((64, 64)) * 0.999).astype(np.float32)
+        idx = ChiIndex(tiny_cfg)
+        idx.add(np.array([0]), build_chi_array(big, tiny_cfg)[None])
+        with pytest.raises(ValueError):
+            MaskSearchEngine(spark, tiny_store, idx)

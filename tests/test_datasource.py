@@ -6,6 +6,7 @@ from pyspark.sql import functions as F
 from pyspark.sql.datasource import EqualTo, GreaterThan, In, LessThanOrEqual, StringContains
 
 from repro.maskstore import datasource as ds
+from repro.maskstore.store import read_metadata
 
 
 class TestScan:
@@ -100,7 +101,7 @@ class TestPushdown:
         r = self._reader(tiny_store)
         list(r.pushFilters([In(("mask_id",), tuple(range(10))), EqualTo(("model_id",), 1)]))
         ids = [m for p in r.partitions() for m in p.mask_ids]
-        meta = ds._read_metadata_pandas(tiny_store.root)
+        meta = read_metadata(tiny_store.root)
         expect = meta[(meta["mask_id"] < 10) & (meta["model_id"] == 1)]["mask_id"]
         assert sorted(ids) == sorted(int(v) for v in expect)
 
@@ -140,7 +141,7 @@ class TestPushdown:
             F.col("model_id") == 1
         )
         got = sorted(r.mask_id for r in df.select("mask_id").collect())
-        meta = ds._read_metadata_pandas(tiny_store.root)
+        meta = read_metadata(tiny_store.root)
         expect = meta[(meta["mask_id"] < 20) & (meta["model_id"] == 1)]["mask_id"]
         assert got == sorted(int(v) for v in expect)
 

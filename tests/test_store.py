@@ -74,6 +74,8 @@ class TestMetadata:
         sdf = tiny_store.metadata(spark)
         assert sdf.count() == len(tiny_meta)
         assert set(sdf.columns) == set(tiny_meta.columns)
+        spark_pdf = sdf.toPandas().sort_values("mask_id").reset_index(drop=True)
+        assert spark_pdf.equals(tiny_meta) and (spark_pdf.dtypes == tiny_meta.dtypes).all()
 
     def test_index_path_per_config(self, tiny_store, tiny_cfg):
         assert tiny_store.index_path(tiny_cfg).endswith(tiny_cfg.tag())

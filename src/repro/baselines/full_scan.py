@@ -51,9 +51,11 @@ class FullScanBaseline:
             m = m[m["image_id"].isin(set(int(v) for v in image_ids))]
         return m.reset_index(drop=True)
 
-    def _stats(self, meta: pd.DataFrame) -> QueryStats:
+    def _stats(self, meta: pd.DataFrame, loaded: int) -> QueryStats:
+        """Every targeted mask is verified; ``loaded`` is what the scan
+        opened."""
         n = len(meta)
-        return QueryStats(n_targeted=n, n_verified=n, masks_loaded=n)
+        return QueryStats(n_targeted=n, n_verified=n, masks_loaded=loaded)
 
     def filter(
         self, pred: FilterPredicate, model_id=None, mask_ids=None
@@ -69,7 +71,7 @@ class FullScanBaseline:
             .sort_values("mask_id")
             .reset_index(drop=True)
         )
-        return QueryResult(out, self._stats(meta))
+        return QueryResult(out, self._stats(meta, len(exact)))
 
     def topk(
         self, term: CPTerm, k: int, descending=True, model_id=None, mask_ids=None
@@ -77,11 +79,12 @@ class FullScanBaseline:
         _check_k(k)
         meta = self._target(model_id=model_id, mask_ids=mask_ids)
         exact = verify.exact_cp_pdf(self.spark, self.store, meta, (term,))
+        loaded = len(exact)
         exact = exact.rename(columns={"cp_0": "val"}).sort_values(
             ["val", "mask_id"], ascending=[not descending, True]
         )
         return QueryResult(
-            exact.head(k)[["mask_id", "val"]].reset_index(drop=True), self._stats(meta)
+            exact.head(k)[["mask_id", "val"]].reset_index(drop=True), self._stats(meta, loaded)
         )
 
     def topk_ratio(
@@ -90,11 +93,12 @@ class FullScanBaseline:
         _check_k(k)
         meta = self._target(model_id=model_id, mask_ids=mask_ids)
         exact = verify.exact_cp_pdf(self.spark, self.store, meta, (num, den))
+        loaded = len(exact)
         exact = exact[exact["cp_1"] > 0].copy()
         exact["val"] = exact["cp_0"] / exact["cp_1"]
         exact = exact.sort_values(["val", "mask_id"], ascending=[not descending, True])
         return QueryResult(
-            exact.head(k)[["mask_id", "val"]].reset_index(drop=True), self._stats(meta)
+            exact.head(k)[["mask_id", "val"]].reset_index(drop=True), self._stats(meta, loaded)
         )
 
     def agg_topk(
@@ -107,7 +111,7 @@ class FullScanBaseline:
             exact.groupby("image_id", sort=True)["cp_0"].mean().rename("val").reset_index()
         )
         agg = agg.sort_values(["val", "image_id"], ascending=[not descending, True])
-        return QueryResult(agg.head(k).reset_index(drop=True), self._stats(meta))
+        return QueryResult(agg.head(k).reset_index(drop=True), self._stats(meta, len(exact)))
 
     def maskagg_topk(
         self, t: float, roi, k: int, descending=True, model_ids=None, image_ids=None
@@ -116,5 +120,8 @@ class FullScanBaseline:
         term = CPTerm(lv=t, uv=1.0, roi=roi)
         meta = self._target(model_ids=model_ids, image_ids=image_ids)
         agg = verify.exact_maskagg_pdf(self.spark, self.store, meta, t, term)
-        agg = agg.sort_values(["val", "image_id"], ascending=[not descending, True])
-        return QueryResult(agg.head(k).reset_index(drop=True), self._stats(meta))
+        loaded = int(agg["n"].sum())
+        agg = agg[["image_id", "val"]].sort_values(
+            ["val", "image_id"], ascending=[not descending, True]
+        )
+        return QueryResult(agg.head(k).reset_index(drop=True), self._stats(meta, loaded))

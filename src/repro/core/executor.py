@@ -7,9 +7,9 @@ The engine executes the paper's query classes over a
   monotone linear combination. The *filter stage* computes certified
   bounds per mask from CHI alone, prunes guaranteed-fail masks, accepts
   guaranteed-pass masks; the *verification stage* loads only the
-  remaining candidates (through the ``maskstore`` DataSourceV2, whose
-  pushed-down ``mask_id IN (...)`` predicate prunes file reads) and
-  evaluates the exact predicate.
+  remaining candidates (through the ``maskstore`` DataSourceV2, which
+  prunes file reads to the candidate ids and evaluates the exact
+  predicate's CP terms inside its reader).
 - **top-k** (§3.5): the paper's sequential running-threshold scan is
   replaced by the distributed two-phase equivalent (DESIGN.md §4):
   ``tau`` = k-th best *lower* bound (DESC) / *upper* bound (ASC); every
@@ -30,7 +30,8 @@ its CHI and adds it to the index.
 
 Every result records :class:`QueryStats` whose ``masks_loaded`` is the
 paper's Table 2 metric: the number of masks read from disk during
-execution.
+execution, counted from the verification scans' output (one row per
+opened mask; Q5 rows carry the masks opened per image).
 """
 from __future__ import annotations
 
@@ -174,10 +175,10 @@ class MaskSearchEngine:
     def exact_cp(
         self, meta: pd.DataFrame, terms: tuple[CPTerm, ...]
     ) -> pd.DataFrame:
-        """Load the masks in ``meta`` from disk (Catalyst pushes the
-        ``mask_id IN`` predicate into the store scan) and compute exact
-        CP for every term. The same scan builds the CHI of the loaded
-        masks the index lacks, which are then added to it (§3.6).
+        """Load the masks in ``meta`` from disk (the store scan opens
+        only their files) and compute exact CP for every term. The same
+        scan builds the CHI of the loaded masks the index lacks, which
+        are then added to it (§3.6).
         Returns ``mask_id, image_id, cp_0..cp_{n-1}``.
         """
         ids = meta["mask_id"].to_numpy(np.int64)
@@ -208,14 +209,14 @@ class MaskSearchEngine:
             prune = lo >= T
         to_verify = ~(accept | prune)
 
+        exact = self.exact_cp(meta[to_verify], pred.terms)
         stats = QueryStats(
             n_targeted=len(meta),
             n_pruned=int(prune.sum()),
             n_accepted=int(accept.sum()),
             n_verified=int(to_verify.sum()),
-            masks_loaded=int(to_verify.sum()),
+            masks_loaded=len(exact),
         )
-        exact = self.exact_cp(meta[to_verify], pred.terms)
         val = np.zeros(len(exact))
         for c, col in zip(pred.coefficients, (f"cp_{i}" for i in range(len(pred.terms)))):
             val = val + c * exact[col].to_numpy()
@@ -248,8 +249,9 @@ class MaskSearchEngine:
         holds each entity's certified bounds ``lo``/``hi`` and ``n``, the
         number of its masks in ``meta``. ``exact(sub_meta)`` runs one
         verification job over the targeted rows of some entities and
-        returns ``key, val``; it may omit entities that are excluded from
-        the ranking (e.g. a zero denominator).
+        returns ``(key, val rows, masks the scan opened)``; the rows may
+        omit entities that are excluded from the ranking (e.g. a zero
+        denominator), the count may not.
 
         The paper processes masks sequentially, pruning each whose upper
         bound cannot beat the running k-th-best exact value. The
@@ -277,7 +279,7 @@ class MaskSearchEngine:
         batch = max(2 * k, 32)
         found: list[pd.DataFrame] = []
         vals = np.empty(0)  # signed exact values verified so far
-        loaded = 0
+        decided = loaded = 0
         while True:
             cand = unverified & (HI >= tau)
             if not cand.any():
@@ -285,19 +287,20 @@ class MaskSearchEngine:
             idx = np.where(cand)[0]
             take = idx[np.argsort(-HI[idx], kind="stable")[:batch]]
             batch = min(batch * 4, 2048)  # geometric growth bounds #rounds
-            pdf = exact(meta[meta[key].isin(keys[take])])
-            loaded += int(per[take].sum())
+            pdf, n_loaded = exact(meta[meta[key].isin(keys[take])])
+            decided += int(per[take].sum())
+            loaded += n_loaded
             unverified[take] = False
             found.append(pdf)
             vals = np.concatenate([vals, sign * pdf["val"].to_numpy(np.float64)])
             if len(vals) >= k:
                 tau = max(tau, float(np.sort(vals)[-k]))
-        res = pd.concat(found) if found else exact(meta.iloc[:0])
+        res = pd.concat(found) if found else exact(meta.iloc[:0])[0]
         res = res.sort_values(["val", key], ascending=[not descending, True]).head(k)
         stats = QueryStats(
             n_targeted=len(meta),
-            n_pruned=len(meta) - loaded,
-            n_verified=loaded,
+            n_pruned=len(meta) - decided,
+            n_verified=decided,
             masks_loaded=loaded,
         )
         return QueryResult(res.reset_index(drop=True), stats)
@@ -315,8 +318,9 @@ class MaskSearchEngine:
         lo, hi = self.bounds(meta, term)
         ent = pd.DataFrame({"lo": lo, "hi": hi, "n": 1}, index=meta["mask_id"])
 
-        def _exact(sub: pd.DataFrame) -> pd.DataFrame:
-            return self.exact_cp(sub, (term,)).rename(columns={"cp_0": "val"})[["mask_id", "val"]]
+        def _exact(sub: pd.DataFrame) -> tuple[pd.DataFrame, int]:
+            pdf = self.exact_cp(sub, (term,))
+            return pdf.rename(columns={"cp_0": "val"})[["mask_id", "val"]], len(pdf)
 
         return self._rank(meta, "mask_id", ent, k, descending, _exact)
 
@@ -349,9 +353,10 @@ class MaskSearchEngine:
         rlo = np.where(dlo > 0, rlo, -np.inf if descending else 0.0)
         ent = pd.DataFrame({"lo": rlo, "hi": rhi, "n": 1}, index=meta["mask_id"])[dhi > 0]
 
-        def _exact(sub: pd.DataFrame) -> pd.DataFrame:
-            pdf = self.exact_cp(sub, (num, den)).query("cp_1 > 0")
-            return pdf.assign(val=pdf["cp_0"] / pdf["cp_1"])[["mask_id", "val"]]
+        def _exact(sub: pd.DataFrame) -> tuple[pd.DataFrame, int]:
+            pdf = self.exact_cp(sub, (num, den))
+            ok = pdf.query("cp_1 > 0")
+            return ok.assign(val=ok["cp_0"] / ok["cp_1"])[["mask_id", "val"]], len(pdf)
 
         return self._rank(meta, "mask_id", ent, k, descending, _exact)
 
@@ -373,9 +378,10 @@ class MaskSearchEngine:
             .agg(lo=("lo", "mean"), hi=("hi", "mean"), n=("lo", "size"))
         )
 
-        def _exact(sub: pd.DataFrame) -> pd.DataFrame:
+        def _exact(sub: pd.DataFrame) -> tuple[pd.DataFrame, int]:
             pdf = self.exact_cp(sub, (term,))
-            return pdf.groupby("image_id", sort=True)["cp_0"].mean().rename("val").reset_index()
+            agg = pdf.groupby("image_id", sort=True)["cp_0"].mean().rename("val").reset_index()
+            return agg, len(pdf)
 
         return self._rank(meta, "image_id", ent, k, descending, _exact)
 
@@ -413,7 +419,8 @@ class MaskSearchEngine:
         )
         ent["lo"] = np.maximum(ent["lo"] - (ent["n"] - 1) * ent["area"], 0)
 
-        def _exact(sub: pd.DataFrame) -> pd.DataFrame:
-            return verify.exact_maskagg_pdf(self.spark, self.store, sub, t, term)
+        def _exact(sub: pd.DataFrame) -> tuple[pd.DataFrame, int]:
+            pdf = verify.exact_maskagg_pdf(self.spark, self.store, sub, t, term)
+            return pdf[["image_id", "val"]], int(pdf["n"].sum())
 
         return self._rank(meta, "image_id", ent, k, descending, _exact)

@@ -13,13 +13,14 @@ pixel-value histogram — exactly Eq. (1) of the paper with
 are all zeros (the paper's implicit ``(0, 0)`` corner) so Eq. (2) is four
 array lookups with no boundary cases.
 
-The distributed build (:func:`build_index`) is a Spark ``mapInArrow``
-scan over the mask store: each task loads its masks, computes ``H`` with
-vectorised NumPy, and emits one row per mask; the result is persisted as
-Parquet next to the store. :class:`ChiIndex` is the paper's "optimized
-array index structure": one int64 tensor whose row ``i`` is the CHI of
-mask id ``i`` (ids are dense per store), held in memory for the session
-and read from / written to that Parquet on the driver with pyarrow.
+The distributed build (:func:`build_index`) is the ``maskstore``
+reader's verification scan with every mask in ``chi_ids``: each task
+loads its masks, computes ``H`` with vectorised NumPy, and emits one row
+per mask, which the executors write as Parquet next to the store.
+:class:`ChiIndex` is the paper's "optimized array index structure": one
+int64 tensor whose row ``i`` is the CHI of mask id ``i`` (ids are dense
+per store), held in memory for the session and read from / written to
+that Parquet on the driver with pyarrow.
 
 An index row holds ``H`` flattened in C order (:func:`to_arrow`);
 :func:`rows_to_tensor` is the one reshape back.
@@ -35,6 +36,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 from pyspark.sql import SparkSession
+from pyspark.sql import functions as F
 
 
 @dataclass(frozen=True)
@@ -91,14 +93,9 @@ def build_chi_array(mask: np.ndarray, cfg: ChiConfig) -> np.ndarray:
     return H
 
 
-_INDEX_SCHEMA = (
-    "mask_id long, ny int, nx int, b int, wc int, hc int, h array<long>"
-)
-
-
 def to_arrow(mask_ids: np.ndarray, H: np.ndarray, cfg: ChiConfig) -> pa.RecordBatch:
-    """Index rows (``_INDEX_SCHEMA``) for the CHIs ``H``, shape
-    ``(n, ny + 1, nx + 1, b)``, of masks ``mask_ids``."""
+    """Index rows ``mask_id, ny, nx, b, wc, hc, h`` for the CHIs ``H``,
+    shape ``(n, ny + 1, nx + 1, b)``, of masks ``mask_ids``."""
     n, ny1, nx1, b = H.shape
     cols = {"mask_id": pa.array(mask_ids, pa.int64())}
     for k, v in {"ny": ny1 - 1, "nx": nx1 - 1, "b": b, "wc": cfg.wc, "hc": cfg.hc}.items():
@@ -128,35 +125,29 @@ def from_arrow(batch: pa.RecordBatch, cfg: ChiConfig) -> tuple[np.ndarray, np.nd
 def build_index(
     spark: SparkSession, store, cfg: ChiConfig, out_path: str | None = None
 ) -> str:
-    """Build CHI for every mask in ``store`` with a distributed Spark scan
-    and persist it as Parquet. Returns the index path.
+    """Build the CHI of every mask in ``store`` and persist it as Parquet.
+    Returns the index path.
+
+    The build is one ``maskstore`` scan in verification mode with no CP
+    terms and every mask in ``chi_ids``, so the reader loads each mask
+    once, charges ``store.io_delay_ms`` per mask (the paper's up-front
+    indexing cost, §4.5) and runs one task per core; the executors write
+    its rows straight to Parquet, in ``mask_id`` order within each file.
 
     ``store`` is a :class:`repro.maskstore.store.MaskStore`.
     """
+    # Imported here: the datasource imports this module.
+    from repro.core import verify
+    from repro.maskstore.datasource import VerifySpec
+
     out = out_path or store.index_path(cfg)
-    meta = store.metadata(spark).select("mask_id", "path")
-    shape = row_shape(cfg, store.spec.width, store.spec.height)
-    # Index construction loads every mask once; in simulated-EBS mode it
-    # pays the same per-mask latency as query-time loads (fair account
-    # of the paper's up-front indexing cost, §4.5).
-    delay_s = getattr(store, "io_delay_ms", 0.0) / 1000.0
-
-    def _build(batches):
-        import time as _time
-
-        for batch in batches:
-            paths = batch.column("path").to_pylist()
-            H = np.empty((len(paths), *shape), dtype=np.int64)
-            for i, path in enumerate(paths):
-                if delay_s:
-                    _time.sleep(delay_s)
-                H[i] = build_chi_array(np.load(path), cfg)
-            yield to_arrow(batch.column("mask_id").to_numpy(), H, cfg)
-
-    n_part = max(1, min(spark.sparkContext.defaultParallelism, store.n_masks()))
+    meta = store.metadata_pandas(spark)
+    nx, ny = cfg.grid(store.spec.width, store.spec.height)
+    spec = VerifySpec((), cfg, frozenset(meta["mask_id"].tolist()))
+    dims = {"ny": ny, "nx": nx, "b": cfg.b, "wc": cfg.wc, "hc": cfg.hc}
     (
-        meta.repartition(n_part)
-        .mapInArrow(_build, schema=_INDEX_SCHEMA)
+        verify._target_scan(spark, store, meta, spec)
+        .select("mask_id", *(F.lit(v).alias(k) for k, v in dims.items()), "h")
         .write.mode("overwrite")
         .parquet(out)
     )

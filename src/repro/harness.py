@@ -41,15 +41,12 @@ RESULTS_DIR = os.environ.get("REPRO_RESULTS_DIR", os.path.join(REPO_ROOT, "resul
 
 
 def job_session(name: str) -> SparkSession:
-    """SparkSession for ``jobs/*.py`` entrypoints, mirroring the test
-    fixture's configuration (local[*], Arrow on, broadcast joins off)."""
+    """SparkSession for ``jobs/*.py`` entrypoints (Arrow on, UI off).
+    ``src/`` runs no join, and ``build_store``'s one shuffle sets its own
+    partition count, so neither is configured."""
     spark = (
         SparkSession.builder.appName(name)
-        # Benchmark queries shuffle at most a few hundred rows of mask
-        # arrays; 16 partitions keeps per-job task overhead low.
-        .config("spark.sql.shuffle.partitions", os.environ.get("SPARK_SHUFFLE_PARTITIONS", "16"))
         .config("spark.sql.execution.arrow.pyspark.enabled", "true")
-        .config("spark.sql.autoBroadcastJoinThreshold", -1)
         .config("spark.ui.enabled", "false")
         .config("spark.ui.showConsoleProgress", "false")
         .getOrCreate()

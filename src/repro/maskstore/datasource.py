@@ -419,18 +419,16 @@ def register(spark: SparkSession) -> None:
 def scan(
     spark: SparkSession,
     root: str,
-    n_partitions: int | None = None,
     io_delay_ms: float = 0.0,
     mask_ids=None,
     spec: VerifySpec | None = None,
 ):
     """Convenience: DataFrame over the store at ``root``.
 
-    ``n_partitions`` defaults to the session's parallelism
-    (``defaultParallelism``): one read task per core, capped by the
-    reader at the number of selected masks. A verification task runs one
-    Python stage (this reader), so more tasks than cores only add waves
-    of fixed per-task cost.
+    The scan runs one read task per core (``defaultParallelism``), capped
+    by the reader at the number of selected masks. A verification task
+    runs one Python stage (this reader), so more tasks than cores only
+    add waves of fixed per-task cost.
 
     ``mask_ids`` (if given) is passed through the ``maskids`` option —
     the verification stage's target path; a direct read may instead use
@@ -438,12 +436,10 @@ def scan(
     ``spec`` switches the reader to verification mode (module
     docstring).
     """
-    if n_partitions is None:
-        n_partitions = spark.sparkContext.defaultParallelism
     r = (
         spark.read.format("maskstore")
         .option("path", root)
-        .option("numpartitions", str(n_partitions))
+        .option("numpartitions", str(spark.sparkContext.defaultParallelism))
     )
     if io_delay_ms:
         r = r.option("iodelayms", str(io_delay_ms))

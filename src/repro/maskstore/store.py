@@ -29,7 +29,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
-from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql import SparkSession
 
 from repro.masks import synth
 from repro.masks.synth import DatasetSpec
@@ -99,10 +99,6 @@ class MaskStore:
     # -- access -----------------------------------------------------------
     def n_masks(self) -> int:
         return self.spec.n_masks
-
-    def metadata(self, spark: SparkSession) -> DataFrame:
-        """The ``MasksDatabaseView`` relational columns as a DataFrame."""
-        return spark.read.parquet(self.metadata_path)
 
     def metadata_pandas(self, spark: SparkSession) -> pd.DataFrame:
         """Driver-cached metadata (small: one row per mask), read with

@@ -8,7 +8,8 @@ from repro.core.executor import MaskSearchEngine
 from repro.core.incremental import IncrementalSession
 from repro.masks.synth import TINY
 from repro.maskstore.store import build_store
-from repro import testing
+
+from . import testing
 
 #: Default CHI config for the tiny 32x32 dataset: 4x4 grid, 8 bins.
 TINY_CFG = ChiConfig(8, 8, 8)

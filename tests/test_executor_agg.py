@@ -2,9 +2,10 @@
 by mean CP across each image's masks."""
 import pytest
 
-from repro import testing
 from repro.core.cp import OBJECT_ROI, CPTerm
-from repro.oracle import assert_equivalent
+
+from . import testing
+from .oracle import assert_equivalent
 
 CONST_ROI = (5, 5, 20, 20)
 

@@ -4,10 +4,11 @@ the filter stage's accounting invariants are asserted."""
 import numpy as np
 import pytest
 
-from repro import testing
 from repro.core.cp import OBJECT_ROI, CPTerm
 from repro.core.executor import GT, LT, FilterPredicate
-from repro.oracle import assert_equivalent
+
+from . import testing
+from .oracle import assert_equivalent
 
 CONST_ROI = (5, 5, 20, 20)
 ALIGNED_ROI = (8, 8, 24, 32)

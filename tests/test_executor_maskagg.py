@@ -3,9 +3,10 @@ CP(INTERSECT(masks >= t), roi, (t, 1.0))."""
 import numpy as np
 import pytest
 
-from repro import testing
 from repro.core.cp import OBJECT_ROI, CPTerm, cp, intersect_threshold
-from repro.oracle import assert_equivalent
+
+from . import testing
+from .oracle import assert_equivalent
 
 CONST_ROI = (5, 5, 20, 20)
 

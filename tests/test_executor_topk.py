@@ -3,9 +3,10 @@ with pruning-soundness invariants for the threshold-refinement loop."""
 import numpy as np
 import pytest
 
-from repro import testing
 from repro.core.cp import OBJECT_ROI, CPTerm
-from repro.oracle import assert_equivalent
+
+from . import testing
+from .oracle import assert_equivalent
 
 CONST_ROI = (5, 5, 20, 20)
 

@@ -4,7 +4,7 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from repro.oracle import assert_equivalent
+from .oracle import assert_equivalent
 
 
 class TestPixelsTable:

@@ -71,7 +71,7 @@ class TestMetadata:
         assert tiny_meta["path"].iloc[0].startswith(tiny_store.masks_dir)
 
     def test_spark_metadata_matches_pandas(self, spark, tiny_store, tiny_meta):
-        sdf = tiny_store.metadata(spark)
+        sdf = spark.read.parquet(tiny_store.metadata_path)
         assert sdf.count() == len(tiny_meta)
         assert set(sdf.columns) == set(tiny_meta.columns)
         spark_pdf = sdf.toPandas().sort_values("mask_id").reset_index(drop=True)

@@ -3,10 +3,11 @@ full-scan baseline vs DuckDB oracle, plus the Table 2 load-count
 relationships."""
 import pytest
 
-from repro import testing
 from repro.core.cp import OBJECT_ROI, CPTerm
-from repro.oracle import assert_equivalent
 from repro.workloads.queries import K, scale_count, scale_roi, table1_queries
+
+from . import testing
+from .oracle import assert_equivalent
 
 
 @pytest.fixture(scope="module")

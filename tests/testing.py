@@ -1,6 +1,6 @@
 """Test-support: oracle tables and SQL for mask queries.
 
-The DuckDB oracle (:mod:`repro.oracle`) needs an *independent*
+The DuckDB oracle (:mod:`tests.oracle`) needs an *independent*
 evaluation path for every query class. We explode masks into a
 relational ``pixels(mask_id, image_id, model_id, x, y, v)`` table and
 express each query in plain SQL over it — no CP kernel, no CHI, no

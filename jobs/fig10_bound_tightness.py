@@ -5,14 +5,13 @@ with object-bounding-box ROIs.
 
 Usage: spark-submit jobs/fig10_bound_tightness.py
 """
-from pyspark.sql import DataFrame, SparkSession
+import pandas as pd
+from pyspark.sql import SparkSession
 
 from repro import harness
 
 
-def run(spark: SparkSession) -> DataFrame:
-    import pandas as pd
-
+def run(spark: SparkSession) -> pd.DataFrame:
     parts = [
         harness.run_bound_tightness(spark, ds, n_masks=1000)
         for ds in ("wilds_lite", "imagenet_lite")
@@ -23,10 +22,10 @@ def run(spark: SparkSession) -> DataFrame:
         "fig10_bound_tightness.md",
         "Figure 10 — bound tightness vs index granularity and value range",
     )
-    return spark.createDataFrame(pdf)
+    return pdf
 
 
 if __name__ == "__main__":
     spark = harness.job_session("fig10")
-    run(spark).show(truncate=False)
+    print(harness.to_markdown(run(spark)))
     spark.stop()

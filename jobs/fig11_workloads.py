@@ -7,12 +7,15 @@ Usage: spark-submit jobs/fig11_workloads.py [dataset] [n_queries]
 """
 import sys
 
-from pyspark.sql import DataFrame, SparkSession
+import pandas as pd
+from pyspark.sql import SparkSession
 
 from repro import harness
 
 
-def run(spark: SparkSession, dataset: str = "wilds_lite", n_queries: int = 30) -> DataFrame:
+def run(
+    spark: SparkSession, dataset: str = "wilds_lite", n_queries: int = 30
+) -> pd.DataFrame:
     per_query = harness.run_multiquery(
         spark, dataset, workload_ids=(1, 2, 3, 4), n_queries=n_queries
     )
@@ -27,12 +30,12 @@ def run(spark: SparkSession, dataset: str = "wilds_lite", n_queries: int = 30) -
         f"fig11_multiquery_{dataset}.md",
         f"Figure 11 — multi-query workload summary ({dataset})",
     )
-    return spark.createDataFrame(summary)
+    return summary
 
 
 if __name__ == "__main__":
     dataset = sys.argv[1] if len(sys.argv) > 1 else "wilds_lite"
     n = int(sys.argv[2]) if len(sys.argv) > 2 else 30
     spark = harness.job_session("fig11")
-    run(spark, dataset, n).show(truncate=False)
+    print(harness.to_markdown(run(spark, dataset, n)))
     spark.stop()

@@ -4,14 +4,13 @@ full-scan baseline class).
 
 Usage: spark-submit jobs/fig7_individual_queries.py
 """
-from pyspark.sql import DataFrame, SparkSession
+import pandas as pd
+from pyspark.sql import SparkSession
 
 from repro import harness
 
 
-def run(spark: SparkSession) -> DataFrame:
-    import pandas as pd
-
+def run(spark: SparkSession) -> pd.DataFrame:
     # Three regimes: raw local I/O; the simulated-EBS mode (40 ms
     # per-mask load latency) that reproduces the paper's I/O-bound
     # setting where query time ~ masks loaded; and a near-asymptotic
@@ -37,10 +36,10 @@ def run(spark: SparkSession) -> DataFrame:
     harness.save_markdown(
         piv, "fig7_individual_query_times.md", "Figure 7 — individual query times (s)"
     )
-    return spark.createDataFrame(piv)
+    return piv
 
 
 if __name__ == "__main__":
     spark = harness.job_session("fig7")
-    run(spark).show(truncate=False)
+    print(harness.to_markdown(run(spark)))
     spark.stop()

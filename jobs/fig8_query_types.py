@@ -7,14 +7,13 @@ Usage: spark-submit jobs/fig8_query_types.py [n_filter]
 """
 import sys
 
-from pyspark.sql import DataFrame, SparkSession
+import pandas as pd
+from pyspark.sql import SparkSession
 
 from repro import harness
 
 
-def run(spark: SparkSession, n_filter: int = 30) -> DataFrame:
-    import pandas as pd
-
+def run(spark: SparkSession, n_filter: int = 30) -> pd.DataFrame:
     parts = []
     for ds in ("wilds_lite", "imagenet_lite"):
         parts.append(
@@ -32,11 +31,11 @@ def run(spark: SparkSession, n_filter: int = 30) -> DataFrame:
     )
     # persist per-query rows for fig9
     harness.save_markdown(allq, "fig8_per_query.md", "Per-query times and FML (raw)")
-    return spark.createDataFrame(summary)
+    return summary
 
 
 if __name__ == "__main__":
     n = int(sys.argv[1]) if len(sys.argv) > 1 else 30
     spark = harness.job_session("fig8")
-    run(spark, n).show(truncate=False)
+    print(harness.to_markdown(run(spark, n)))
     spark.stop()

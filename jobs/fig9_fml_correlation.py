@@ -8,14 +8,13 @@ Usage: spark-submit jobs/fig9_fml_correlation.py [n_filter]
 """
 import sys
 
-from pyspark.sql import DataFrame, SparkSession
+import pandas as pd
+from pyspark.sql import SparkSession
 
 from repro import harness
 
 
-def run(spark: SparkSession, n_filter: int = 40) -> DataFrame:
-    import pandas as pd
-
+def run(spark: SparkSession, n_filter: int = 40) -> pd.DataFrame:
     # Simulated-EBS regime: the paper's time ~ FML relationship requires
     # mask loading to dominate query time (DESIGN.md §4).
     parts = [
@@ -30,11 +29,11 @@ def run(spark: SparkSession, n_filter: int = 40) -> DataFrame:
         "fig9_fml_correlation.md",
         "Figure 9 — correlation between query time and fraction of masks loaded",
     )
-    return spark.createDataFrame(corr)
+    return corr
 
 
 if __name__ == "__main__":
     n = int(sys.argv[1]) if len(sys.argv) > 1 else 40
     spark = harness.job_session("fig9")
-    run(spark, n).show(truncate=False)
+    print(harness.to_markdown(run(spark, n)))
     spark.stop()

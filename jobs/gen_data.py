@@ -3,14 +3,15 @@
 
 Usage: spark-submit jobs/gen_data.py
 """
-from pyspark.sql import DataFrame, SparkSession
+import pandas as pd
+from pyspark.sql import SparkSession
 
 from repro import harness
 from repro.core.chi import ChiIndex
 
 
-def run(spark: SparkSession) -> DataFrame:
-    """Build both stores + indexes; return a summary DataFrame."""
+def run(spark: SparkSession) -> pd.DataFrame:
+    """Build both stores + indexes; return a summary table."""
     rows = []
     for name in ("wilds_lite", "imagenet_lite"):
         store = harness.get_store(spark, name)
@@ -29,16 +30,18 @@ def run(spark: SparkSession) -> DataFrame:
                 round(idx.nbytes() / store.raw_bytes(), 4),
             )
         )
-    return spark.createDataFrame(
+    return pd.DataFrame(
         rows,
-        "dataset string, n_images long, n_masks long, mask_size string, "
-        "chi_config string, raw_bytes long, index_bytes long, index_ratio double",
+        columns=[
+            "dataset", "n_images", "n_masks", "mask_size",
+            "chi_config", "raw_bytes", "index_bytes", "index_ratio",
+        ],
     )
 
 
 if __name__ == "__main__":
     spark = harness.job_session("gen_data")
-    df = run(spark)
-    df.show(truncate=False)
-    harness.save_markdown(df.toPandas(), "datasets.md", "Benchmark datasets and index sizes")
+    pdf = run(spark)
+    print(harness.to_markdown(pdf))
+    harness.save_markdown(pdf, "datasets.md", "Benchmark datasets and index sizes")
     spark.stop()

@@ -4,14 +4,13 @@ full-scan class) on both datasets.
 
 Usage: spark-submit jobs/table2_masks_loaded.py
 """
-from pyspark.sql import DataFrame, SparkSession
+import pandas as pd
+from pyspark.sql import SparkSession
 
 from repro import harness
 
 
-def run(spark: SparkSession) -> DataFrame:
-    import pandas as pd
-
+def run(spark: SparkSession) -> pd.DataFrame:
     parts = [
         harness.run_individual_queries(spark, ds)
         for ds in ("wilds_lite", "imagenet_lite")
@@ -26,10 +25,10 @@ def run(spark: SparkSession) -> DataFrame:
     harness.save_markdown(
         piv, "table2_masks_loaded.md", "Table 2 — masks loaded during query execution"
     )
-    return spark.createDataFrame(piv)
+    return piv
 
 
 if __name__ == "__main__":
     spark = harness.job_session("table2")
-    run(spark).show(truncate=False)
+    print(harness.to_markdown(run(spark)))
     spark.stop()

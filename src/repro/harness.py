@@ -9,6 +9,7 @@ the paper's numbers.
 """
 from __future__ import annotations
 
+import contextlib
 import glob
 import os
 import time
@@ -42,8 +43,7 @@ RESULTS_DIR = os.environ.get("REPRO_RESULTS_DIR", os.path.join(REPO_ROOT, "resul
 
 def job_session(name: str) -> SparkSession:
     """SparkSession for ``jobs/*.py`` entrypoints (Arrow on, UI off).
-    ``src/`` runs no join, and ``build_store``'s one shuffle sets its own
-    partition count, so neither is configured."""
+    ``src/`` runs no join and no shuffle, so neither is configured."""
     spark = (
         SparkSession.builder.appName(name)
         .config("spark.sql.execution.arrow.pyspark.enabled", "true")
@@ -115,6 +115,18 @@ def save_markdown(pdf: pd.DataFrame, filename: str, title: str) -> str:
     return path
 
 
+@contextlib.contextmanager
+def io_delay(store: MaskStore, ms: float):
+    """Charge ``ms`` of simulated-EBS latency per mask load on ``store``
+    inside the block; the previous value is restored even on error."""
+    old = store.io_delay_ms
+    store.io_delay_ms = ms
+    try:
+        yield store
+    finally:
+        store.io_delay_ms = old
+
+
 def warmup(spark: SparkSession, store: MaskStore) -> None:
     """Warm the Python-worker / Arrow / DataSource pipeline with one
     single-mask load so timed queries do not pay Spark's cold-start
@@ -150,34 +162,33 @@ def run_individual_queries(
         executors["fullscan"] = get_baseline(spark, dataset)
     spec, _ = DATASETS[dataset]
     rows = []
-    for ex in executors.values():
-        ex.store.io_delay_ms = 0.0
-        warmup(spark, ex.store)
-        ex.store.io_delay_ms = io_delay_ms
-    for q in table1_queries(spec):
-        if query_names is not None and q.name not in query_names:
-            continue
-        for method, ex in executors.items():
-            # best-of-n like the paper's median-of-5: damps JVM/GC noise
-            dt = float("inf")
-            for _ in range(max(1, repeats)):
-                t0 = time.perf_counter()
-                r = q.run(ex)
-                dt = min(dt, time.perf_counter() - t0)
-            rows.append(
-                {
-                    "dataset": dataset,
-                    "query": q.name,
-                    "method": method,
-                    "io_delay_ms": io_delay_ms,
-                    "time_s": round(dt, 3),
-                    "masks_loaded": r.stats.masks_loaded,
-                    "n_targeted": r.stats.n_targeted,
-                    "n_results": len(r.pdf),
-                }
-            )
-    for ex in executors.values():
-        ex.store.io_delay_ms = 0.0
+    with contextlib.ExitStack() as delays:
+        for ex in executors.values():
+            with io_delay(ex.store, 0.0):
+                warmup(spark, ex.store)
+            delays.enter_context(io_delay(ex.store, io_delay_ms))
+        for q in table1_queries(spec):
+            if query_names is not None and q.name not in query_names:
+                continue
+            for method, ex in executors.items():
+                # best-of-n like the paper's median-of-5: damps JVM/GC noise
+                dt = float("inf")
+                for _ in range(max(1, repeats)):
+                    t0 = time.perf_counter()
+                    r = q.run(ex)
+                    dt = min(dt, time.perf_counter() - t0)
+                rows.append(
+                    {
+                        "dataset": dataset,
+                        "query": q.name,
+                        "method": method,
+                        "io_delay_ms": io_delay_ms,
+                        "time_s": round(dt, 3),
+                        "masks_loaded": r.stats.masks_loaded,
+                        "n_targeted": r.stats.n_targeted,
+                        "n_results": len(r.pdf),
+                    }
+                )
     return pd.DataFrame(rows)
 
 
@@ -200,7 +211,6 @@ def run_query_types(
     engine = get_engine(spark, dataset)
     spec, _ = DATASETS[dataset]
     warmup(spark, engine.store)
-    engine.store.io_delay_ms = io_delay_ms
     rows = []
 
     def _record(qtype, i, run):
@@ -218,13 +228,13 @@ def run_query_types(
             }
         )
 
-    for i, q in enumerate(random_queries.random_filter_queries(spec, n_filter, seed)):
-        _record("filter", i, lambda q=q: q.run(engine, model_id=1))
-    for i, q in enumerate(random_queries.random_topk_queries(spec, n_topk, seed)):
-        _record("topk", i, lambda q=q: q.run(engine, model_id=1))
-    for i, q in enumerate(random_queries.random_agg_queries(spec, n_agg, seed)):
-        _record("agg", i, lambda q=q: q.run(engine))
-    engine.store.io_delay_ms = 0.0
+    with io_delay(engine.store, io_delay_ms):
+        for i, q in enumerate(random_queries.random_filter_queries(spec, n_filter, seed)):
+            _record("filter", i, lambda q=q: q.run(engine, model_id=1))
+        for i, q in enumerate(random_queries.random_topk_queries(spec, n_topk, seed)):
+            _record("topk", i, lambda q=q: q.run(engine, model_id=1))
+        for i, q in enumerate(random_queries.random_agg_queries(spec, n_agg, seed)):
+            _record("agg", i, lambda q=q: q.run(engine))
     return pd.DataFrame(rows)
 
 
@@ -344,35 +354,34 @@ def run_multiquery(
     _, cfg = DATASETS[dataset]
     spec, _ = DATASETS[dataset]
     warmup(spark, store)
-    store.io_delay_ms = io_delay_ms
     rows = []
-    for wid in workload_ids:
-        wl = multi_query.generate_workload(spec, wid, n_queries, seed=seed)
-        runs = {}
-        if "MS" in methods:
-            runs["MS"] = multi_query.run_ms(spark, store, cfg, wl)
-        if "MS-II" in methods:
-            runs["MS-II"] = multi_query.run_msii(spark, store, cfg, wl)
-        if "NumPy" in methods:
-            runs["NumPy"] = multi_query.run_numpy(spark, store, wl)
-        # result consistency across methods
-        ref = next(iter(runs.values()))
-        for r in runs.values():
-            assert r.results == ref.results, "methods disagree on query results"
-        for method, r in runs.items():
-            cum = r.cumulative()
-            for qi in range(len(cum)):
-                rows.append(
-                    {
-                        "dataset": dataset,
-                        "workload": wid,
-                        "method": method,
-                        "query_idx": qi,
-                        "cumulative_s": round(float(cum[qi]), 3),
-                        "masks_loaded": int(r.masks_loaded[qi - 1]) if qi else 0,
-                    }
-                )
-    store.io_delay_ms = 0.0
+    with io_delay(store, io_delay_ms):
+        for wid in workload_ids:
+            wl = multi_query.generate_workload(spec, wid, n_queries, seed=seed)
+            runs = {}
+            if "MS" in methods:
+                runs["MS"] = multi_query.run_ms(spark, store, cfg, wl)
+            if "MS-II" in methods:
+                runs["MS-II"] = multi_query.run_msii(spark, store, cfg, wl)
+            if "NumPy" in methods:
+                runs["NumPy"] = multi_query.run_numpy(spark, store, wl)
+            # result consistency across methods
+            ref = next(iter(runs.values()))
+            for r in runs.values():
+                assert r.results == ref.results, "methods disagree on query results"
+            for method, r in runs.items():
+                cum = r.cumulative()
+                for qi in range(len(cum)):
+                    rows.append(
+                        {
+                            "dataset": dataset,
+                            "workload": wid,
+                            "method": method,
+                            "query_idx": qi,
+                            "cumulative_s": round(float(cum[qi]), 3),
+                            "masks_loaded": int(r.masks_loaded[qi - 1]) if qi else 0,
+                        }
+                    )
     return pd.DataFrame(rows)
 
 

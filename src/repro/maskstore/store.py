@@ -13,10 +13,12 @@ filesystem:
 - CHI indexes persisted as Parquet siblings, one directory per
   :class:`~repro.core.chi.ChiConfig`.
 
-Dataset generation (:func:`build_store`) is a distributed Spark job:
-the metadata DataFrame is generated on the driver (it is small), and a
-``mapInPandas`` pass materialises each partition's masks with the
-deterministic per-mask generators from :mod:`repro.masks.synth`.
+Dataset generation (:func:`build_store`) writes the store the way it
+is read: the metadata table is generated on the driver (it is small)
+and written there with pyarrow as one Parquet file, and one Spark job
+over the image ids (one task per core, no shuffle) materialises each
+image's masks with the deterministic per-mask generators from
+:mod:`repro.masks.synth`.
 """
 from __future__ import annotations
 
@@ -24,35 +26,25 @@ import contextlib
 import glob
 import json
 import os
+import shutil
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
 from pyspark.sql import SparkSession
+from pyspark.sql.types import LongType, StructField, StructType
 
 from repro.masks import synth
 from repro.masks.synth import DatasetSpec
 
-METADATA_COLUMNS = [
-    "mask_id",
-    "image_id",
-    "model_id",
-    "mask_type",
-    "width",
-    "height",
-    "path",
-    "obj_x1",
-    "obj_y1",
-    "obj_x2",
-    "obj_y2",
-    "pred_class",
-]
-
-_META_SCHEMA = (
-    "mask_id long, image_id long, model_id int, mask_type int, "
-    "width int, height int, path string, "
-    "obj_x1 int, obj_y1 int, obj_x2 int, obj_y2 int, pred_class int"
+#: Schema of the ``<root>/metadata`` Parquet table: the one declaration
+#: of its columns and their types.
+METADATA_SCHEMA = pa.schema(
+    [("mask_id", pa.int64()), ("image_id", pa.int64()), ("model_id", pa.int32()),
+     ("mask_type", pa.int32()), ("width", pa.int32()), ("height", pa.int32()),
+     ("path", pa.string()), ("obj_x1", pa.int32()), ("obj_y1", pa.int32()),
+     ("obj_x2", pa.int32()), ("obj_y2", pa.int32()), ("pred_class", pa.int32())]
 )
 
 #: mask_type for saliency maps (the only type the evaluation uses).
@@ -150,7 +142,7 @@ def _metadata_pdf(spec: DatasetSpec, masks_dir: str) -> pd.DataFrame:
                     cls,
                 )
             )
-    return pd.DataFrame(rows, columns=METADATA_COLUMNS)
+    return pd.DataFrame(rows, columns=METADATA_SCHEMA.names)
 
 
 def build_store(spark: SparkSession, spec: DatasetSpec, root: str) -> MaskStore:
@@ -183,40 +175,34 @@ def build_store(spark: SparkSession, spec: DatasetSpec, root: str) -> MaskStore:
     with open(spec_path, "w") as f:
         json.dump(spec_dict, f)
 
-    meta = _metadata_pdf(spec, masks_dir)
-    sdf = spark.createDataFrame(meta, schema=_META_SCHEMA)
-    sdf.write.mode("overwrite").parquet(os.path.join(root, "metadata"))
-
-    # Distributed mask materialisation: each task regenerates its masks
-    # deterministically from (seed, image_id, mask_id) and writes them.
-    spec_d = spec_dict
-
-    def _write(batches):
-        local_spec = DatasetSpec(
-            name=spec_d["name"],
-            n_images=spec_d["n_images"],
-            width=spec_d["width"],
-            height=spec_d["height"],
-            model_ids=tuple(spec_d["model_ids"]),
-            seed=spec_d["seed"],
-        )
-        for pdf in batches:
-            written = []
-            for mid, img, model, path in zip(
-                pdf["mask_id"], pdf["image_id"], pdf["model_id"], pdf["path"]
-            ):
-                mask = synth.generate_mask(local_spec, int(img), int(model))
-                np.save(path, mask)
-                written.append(int(mid))
-            yield pd.DataFrame({"mask_id": written})
-
-    n_part = max(1, min(spark.sparkContext.defaultParallelism * 2, spec.n_masks))
-    n_written = (
-        sdf.select("mask_id", "image_id", "model_id", "path")
-        .repartition(n_part)
-        .mapInPandas(_write, schema="mask_id long")
-        .count()
+    # The directory's contents are replaced, so a rebuild leaves no
+    # stale part file beside the new one.
+    meta_dir = os.path.join(root, "metadata")
+    shutil.rmtree(meta_dir, ignore_errors=True)
+    os.makedirs(meta_dir)
+    meta = pa.Table.from_pandas(
+        _metadata_pdf(spec, masks_dir), schema=METADATA_SCHEMA, preserve_index=False
     )
+    # Without pandas' metadata, the file's schema is exactly the declared one.
+    pq.write_table(meta.replace_schema_metadata(), os.path.join(meta_dir, "part-00000.parquet"))
+
+    # One task per core over the image ids: each task regenerates its
+    # images' masks deterministically from (seed, image_id, model_id),
+    # writes them and returns how many it wrote.
+    def _write(batches):
+        for pdf in batches:
+            n = 0
+            for image_id in pdf["id"].tolist():
+                for model_id in spec.model_ids:
+                    path = os.path.join(masks_dir, f"{spec.mask_id(image_id, model_id)}.npy")
+                    np.save(path, synth.generate_mask(spec, image_id, model_id))
+                    n += 1
+            yield pd.DataFrame({"n": [n]})
+
+    n_part = min(spark.sparkContext.defaultParallelism, spec.n_images)
+    ids = spark.range(spec.n_images, numPartitions=n_part)
+    counts = ids.mapInPandas(_write, StructType([StructField("n", LongType())])).collect()
+    n_written = sum(row.n for row in counts)
     if n_written != spec.n_masks:
         raise RuntimeError(f"wrote {n_written} masks, expected {spec.n_masks}")
     with open(done_path, "w") as f:

@@ -1,14 +1,18 @@
 """Mask store substrate tests."""
+import glob
 import json
 import os
 
 import numpy as np
+import pandas as pd
+import pyarrow as pa
+import pyarrow.parquet as pq
 import pytest
 
 from repro import harness
 from repro.core.chi import ChiIndex
 from repro.masks.synth import TINY, generate_mask
-from repro.maskstore.store import MaskStore, build_store
+from repro.maskstore.store import METADATA_SCHEMA, MaskStore, build_store, read_metadata
 
 
 class TestBuildStore:
@@ -37,6 +41,37 @@ class TestBuildStore:
     def test_raw_bytes(self, tiny_store):
         s = tiny_store.spec
         assert tiny_store.raw_bytes() == 4 * s.n_masks * s.width * s.height
+
+    def test_build_is_one_job_of_one_stage(self, spark, tmp_path):
+        """The metadata is written on the driver, and the masks by one job
+        over the image ids with no shuffle, one task per core."""
+        sc = spark.sparkContext
+        group = "store-build"
+        sc.setJobGroup(group, group)
+        try:
+            build_store(spark, TINY, str(tmp_path / "store"))
+        finally:
+            sc.setLocalProperty("spark.jobGroup.id", None)
+        tracker = sc.statusTracker()
+        jobs = list(tracker.getJobIdsForGroup(group))
+        assert len(jobs) == 1
+        stages = list(tracker.getJobInfo(jobs[0]).stageIds)
+        assert len(stages) == 1
+        n_tasks = min(sc.defaultParallelism, TINY.n_images)
+        assert tracker.getStageInfo(stages[0]).numTasks == n_tasks
+
+    def test_rebuild_replaces_stale_metadata(self, spark, tiny_meta, tmp_path):
+        """A rebuild (``_DONE`` missing) replaces the metadata directory's
+        contents: a stale part file with extra rows does not survive."""
+        extra = tiny_meta.assign(mask_id=tiny_meta["mask_id"] + TINY.n_masks)
+        stale = pa.Table.from_pandas(
+            pd.concat([tiny_meta, extra]), schema=METADATA_SCHEMA, preserve_index=False
+        )
+        (tmp_path / "metadata").mkdir()
+        pq.write_table(stale, str(tmp_path / "metadata" / "part-00007-stale.parquet"))
+        build_store(spark, TINY, str(tmp_path))
+        meta = read_metadata(str(tmp_path))
+        assert len(meta) == TINY.n_masks and meta["mask_id"].is_unique
 
 
 class TestMetadata:
@@ -77,6 +112,11 @@ class TestMetadata:
         spark_pdf = sdf.toPandas().sort_values("mask_id").reset_index(drop=True)
         assert spark_pdf.equals(tiny_meta) and (spark_pdf.dtypes == tiny_meta.dtypes).all()
 
+    def test_metadata_is_one_file_of_the_declared_schema(self, tiny_store):
+        files = glob.glob(os.path.join(tiny_store.metadata_path, "*.parquet"))
+        assert len(files) == 1
+        assert pq.read_schema(files[0]).equals(METADATA_SCHEMA, check_metadata=False)
+
     def test_index_path_per_config(self, tiny_store, tiny_cfg):
         assert tiny_store.index_path(tiny_cfg).endswith(tiny_cfg.tag())
 
@@ -112,3 +152,14 @@ class TestMarkersAreNotTrusted:
         open(os.path.join(path, "_SUCCESS"), "w").close()
         assert harness.ensure_index(spark, marker_store, tiny_cfg) == path
         assert len(ChiIndex.load(spark, path, tiny_cfg)) == TINY.n_masks
+
+
+def test_io_delay_restores_previous_value_on_error(tiny_store):
+    """``harness.io_delay`` puts the old latency back even when a query in
+    the block fails, so a cached engine's store is not left slowed."""
+    store = MaskStore(tiny_store.root, io_delay_ms=5.0)
+    with pytest.raises(RuntimeError):
+        with harness.io_delay(store, 40.0):
+            assert store.io_delay_ms == 40.0
+            raise RuntimeError("query failed")
+    assert store.io_delay_ms == 5.0

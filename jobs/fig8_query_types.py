@@ -1,7 +1,9 @@
 """spark-submit entrypoint reproducing Figure 8 as a table: MaskSearch
 query-time distribution over randomized Filter/Top-K/Aggregation queries
 (§4.3). The paper runs 500 queries per type; pass a count as the first
-argument to scale (default 30/10/8 per dataset).
+argument to scale (default 30/10/7 per dataset).
+
+Checks that every query type ran and that every FML lies in [0, 1].
 
 Usage: spark-submit jobs/fig8_query_types.py [n_filter]
 """
@@ -13,7 +15,7 @@ from pyspark.sql import SparkSession
 from repro import harness
 
 
-def run(spark: SparkSession, n_filter: int = 30) -> pd.DataFrame:
+def run(spark: SparkSession, n_filter: int = 30) -> tuple[pd.DataFrame, dict[str, bool]]:
     parts = []
     for ds in ("wilds_lite", "imagenet_lite"):
         parts.append(
@@ -29,13 +31,13 @@ def run(spark: SparkSession, n_filter: int = 30) -> pd.DataFrame:
         "fig8_query_type_distribution.md",
         "Figure 8 — MaskSearch query-time distribution by query type (s)",
     )
-    # persist per-query rows for fig9
     harness.save_markdown(allq, "fig8_per_query.md", "Per-query times and FML (raw)")
-    return summary
+    types = sorted(set(allq["query_type"]))
+    return summary, {
+        f"query types are filter, topk and agg (got {types})": types == ["agg", "filter", "topk"],
+        "every FML is in [0, 1]": bool(allq["fml"].between(0.0, 1.0).all()),
+    }
 
 
 if __name__ == "__main__":
-    n = int(sys.argv[1]) if len(sys.argv) > 1 else 30
-    spark = harness.job_session("fig8")
-    print(harness.to_markdown(run(spark, n)))
-    spark.stop()
+    harness.run_job("fig8", run, *map(int, sys.argv[1:2]))

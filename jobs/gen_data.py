@@ -10,8 +10,8 @@ from repro import harness
 from repro.core.chi import ChiIndex
 
 
-def run(spark: SparkSession) -> pd.DataFrame:
-    """Build both stores + indexes; return a summary table."""
+def run(spark: SparkSession) -> tuple[pd.DataFrame, dict[str, bool]]:
+    """Build both stores + indexes; write and return a summary table."""
     rows = []
     for name in ("wilds_lite", "imagenet_lite"):
         store = harness.get_store(spark, name)
@@ -30,18 +30,16 @@ def run(spark: SparkSession) -> pd.DataFrame:
                 round(idx.nbytes() / store.raw_bytes(), 4),
             )
         )
-    return pd.DataFrame(
+    pdf = pd.DataFrame(
         rows,
         columns=[
             "dataset", "n_images", "n_masks", "mask_size",
             "chi_config", "raw_bytes", "index_bytes", "index_ratio",
         ],
     )
+    harness.save_markdown(pdf, "datasets.md", "Benchmark datasets and index sizes")
+    return pdf, {}
 
 
 if __name__ == "__main__":
-    spark = harness.job_session("gen_data")
-    pdf = run(spark)
-    print(harness.to_markdown(pdf))
-    harness.save_markdown(pdf, "datasets.md", "Benchmark datasets and index sizes")
-    spark.stop()
+    harness.run_job("gen_data", run)

@@ -4,14 +4,16 @@ reproduce each evaluation artifact (Table 2, Figures 7-11 as tables).
 Benchmark datasets live under ``<repo>/data/`` and are built once
 (generation is deterministic and idempotent); CHI indexes are persisted
 next to each store. Every runner returns a pandas DataFrame — the same
-rows that ``jobs/*.py`` print and that EXPERIMENTS.md records against
-the paper's numbers.
+rows that ``jobs/*.py`` write, print and check against the paper's shape
+(:func:`run_job`), and that EXPERIMENTS.md records against the paper's
+numbers.
 """
 from __future__ import annotations
 
 import contextlib
 import glob
 import os
+import sys
 import time
 
 import numpy as np
@@ -115,6 +117,22 @@ def save_markdown(pdf: pd.DataFrame, filename: str, title: str) -> str:
     return path
 
 
+def run_job(name: str, run, *args) -> None:
+    """Entry point of a ``jobs/*.py`` script. ``run(spark, *args)`` writes
+    the artifact's tables under ``results/`` and returns one table to
+    print plus its paper-shape claims (claim -> holds); the process then
+    exits non-zero naming every claim that fails."""
+    spark = job_session(name)
+    try:
+        table, claims = run(spark, *args)
+    finally:
+        spark.stop()
+    print(to_markdown(table))
+    failed = [claim for claim, holds in claims.items() if not holds]
+    if failed:
+        sys.exit(f"{name}: paper shape not reproduced: " + "; ".join(failed))
+
+
 @contextlib.contextmanager
 def io_delay(store: MaskStore, ms: float):
     """Charge ``ms`` of simulated-EBS latency per mask load on ``store``
@@ -143,23 +161,22 @@ def warmup(spark: SparkSession, store: MaskStore) -> None:
 def run_individual_queries(
     spark: SparkSession,
     dataset: str,
-    methods: tuple[str, ...] = ("masksearch", "fullscan"),
     io_delay_ms: float = 0.0,
     query_names: tuple[str, ...] | None = None,
     repeats: int = 1,
 ) -> pd.DataFrame:
-    """Q1-Q5 on one dataset: per-query wall-clock and masks loaded.
+    """Q1-Q5 on one dataset: per-query wall-clock and masks loaded of
+    MaskSearch and the full scan, asserting that both return equal rows.
 
     ``fullscan`` is the paper's PG ≡ TileDB ≡ NumPy class.
     ``io_delay_ms`` > 0 enables the simulated-EBS mode (per-mask load
     latency), reproducing the paper's I/O-bound regime where query time
     is proportional to masks loaded.
     """
-    executors = {}
-    if "masksearch" in methods:
-        executors["masksearch"] = get_engine(spark, dataset)
-    if "fullscan" in methods:
-        executors["fullscan"] = get_baseline(spark, dataset)
+    executors = {
+        "masksearch": get_engine(spark, dataset),
+        "fullscan": get_baseline(spark, dataset),
+    }
     spec, _ = DATASETS[dataset]
     rows = []
     with contextlib.ExitStack() as delays:
@@ -170,6 +187,7 @@ def run_individual_queries(
         for q in table1_queries(spec):
             if query_names is not None and q.name not in query_names:
                 continue
+            answers = {}
             for method, ex in executors.items():
                 # best-of-n like the paper's median-of-5: damps JVM/GC noise
                 dt = float("inf")
@@ -177,6 +195,7 @@ def run_individual_queries(
                     t0 = time.perf_counter()
                     r = q.run(ex)
                     dt = min(dt, time.perf_counter() - t0)
+                answers[method] = r.pdf.reset_index(drop=True)
                 rows.append(
                     {
                         "dataset": dataset,
@@ -189,7 +208,27 @@ def run_individual_queries(
                         "n_results": len(r.pdf),
                     }
                 )
+            assert answers["masksearch"].equals(answers["fullscan"]), (
+                f"{q.name}: MaskSearch and full scan disagree"
+            )
     return pd.DataFrame(rows)
+
+
+def summarize_masks_loaded(per_query: pd.DataFrame) -> pd.DataFrame:
+    """Table 2: masks loaded per query by MaskSearch and by the full-scan
+    class, with the targeted count and the reduction factor."""
+    by = ["dataset", "query"]
+    ms = per_query[per_query["method"] == "masksearch"].set_index(by)
+    fs = per_query[per_query["method"] == "fullscan"].set_index(by)
+    out = pd.DataFrame(
+        {
+            "masksearch_loaded": ms["masks_loaded"],
+            "baseline_loaded (PG=TDB=NP)": fs["masks_loaded"],
+            "n_targeted": ms["n_targeted"],
+        }
+    )
+    out["reduction_x"] = (fs["masks_loaded"] / ms["masks_loaded"].clip(lower=1)).round(1)
+    return out.reset_index()
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +240,6 @@ def run_query_types(
     n_filter: int = 30,
     n_topk: int = 12,
     n_agg: int = 12,
-    seed: int = 0,
     io_delay_ms: float = 0.0,
 ) -> pd.DataFrame:
     """MaskSearch execution times for randomized Filter/Top-K/Aggregation
@@ -229,11 +267,11 @@ def run_query_types(
         )
 
     with io_delay(engine.store, io_delay_ms):
-        for i, q in enumerate(random_queries.random_filter_queries(spec, n_filter, seed)):
+        for i, q in enumerate(random_queries.random_filter_queries(spec, n_filter)):
             _record("filter", i, lambda q=q: q.run(engine, model_id=1))
-        for i, q in enumerate(random_queries.random_topk_queries(spec, n_topk, seed)):
+        for i, q in enumerate(random_queries.random_topk_queries(spec, n_topk)):
             _record("topk", i, lambda q=q: q.run(engine, model_id=1))
-        for i, q in enumerate(random_queries.random_agg_queries(spec, n_agg, seed)):
+        for i, q in enumerate(random_queries.random_agg_queries(spec, n_agg)):
             _record("agg", i, lambda q=q: q.run(engine))
     return pd.DataFrame(rows)
 
@@ -278,7 +316,6 @@ def run_bound_tightness(
     spark: SparkSession,
     dataset: str,
     n_masks: int = 1000,
-    seed: int = 0,
 ) -> pd.DataFrame:
     """Bound distributions for (index size, value range) combinations
     (Figure 10): mean relative interval width and the FML induced by
@@ -300,7 +337,7 @@ def run_bound_tightness(
         max(2, cfg_fine.b // 2),
     )
     meta = store.metadata_pandas(spark)
-    g = np.random.default_rng(seed)
+    g = np.random.default_rng(0)
     sample = meta.sample(min(n_masks, len(meta)), random_state=int(g.integers(1 << 30)))
     rows = []
     for cfg, size_name in ((cfg_fine, "fine"), (cfg_coarse, "coarse")):
@@ -335,16 +372,13 @@ def run_bound_tightness(
 def run_multiquery(
     spark: SparkSession,
     dataset: str,
-    workload_ids: tuple[int, ...] = (1, 2, 3, 4),
     n_queries: int = 30,
-    methods: tuple[str, ...] = ("MS", "MS-II", "NumPy"),
-    seed: int = 0,
-    io_delay_ms: float = 40.0,
 ) -> pd.DataFrame:
-    """Cumulative total time (index build + queries) per method per
-    workload. Returns one row per (workload, method, query index).
+    """Cumulative total time (index build + queries) of MS, MS-II and
+    NumPy on Workloads 1-4. Returns one row per (workload, method, query
+    index).
 
-    Defaults to the simulated-EBS regime (40 ms/mask): the paper's
+    Runs in the simulated-EBS regime (40 ms/mask): the paper's
     Figure 11 dynamics — crossovers, amortisation — exist because mask
     loading dominates, which raw local I/O at our scale does not
     reproduce (DESIGN.md §4). The latency applies equally to all three
@@ -355,20 +389,16 @@ def run_multiquery(
     spec, _ = DATASETS[dataset]
     warmup(spark, store)
     rows = []
-    with io_delay(store, io_delay_ms):
-        for wid in workload_ids:
-            wl = multi_query.generate_workload(spec, wid, n_queries, seed=seed)
-            runs = {}
-            if "MS" in methods:
-                runs["MS"] = multi_query.run_ms(spark, store, cfg, wl)
-            if "MS-II" in methods:
-                runs["MS-II"] = multi_query.run_msii(spark, store, cfg, wl)
-            if "NumPy" in methods:
-                runs["NumPy"] = multi_query.run_numpy(spark, store, wl)
-            # result consistency across methods
-            ref = next(iter(runs.values()))
+    with io_delay(store, 40.0):
+        for wid in (1, 2, 3, 4):
+            wl = multi_query.generate_workload(spec, wid, n_queries)
+            runs = {
+                "MS": multi_query.run_ms(spark, store, cfg, wl),
+                "MS-II": multi_query.run_msii(spark, store, cfg, wl),
+                "NumPy": multi_query.run_numpy(spark, store, wl),
+            }
             for r in runs.values():
-                assert r.results == ref.results, "methods disagree on query results"
+                assert r.results == runs["NumPy"].results, "methods disagree on query results"
             for method, r in runs.items():
                 cum = r.cumulative()
                 for qi in range(len(cum)):
@@ -392,24 +422,17 @@ def summarize_multiquery(per_query: pd.DataFrame) -> pd.DataFrame:
     for (ds, wid), sub in per_query.groupby(["dataset", "workload"]):
         piv = sub.pivot_table(index="query_idx", columns="method", values="cumulative_s")
         final = piv.iloc[-1]
-        cross = None
-        if {"MS", "NumPy"} <= set(piv.columns):
-            below = piv.index[(piv["MS"] < piv["NumPy"])]
-            cross = int(below.min()) if len(below) else None
-        ratio_peak = ratio_final = None
-        if {"MS", "MS-II"} <= set(piv.columns):
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ratio = (piv["MS-II"] / piv["MS"]).iloc[1:]
-            ratio_peak = round(float(ratio.max()), 3)
-            ratio_final = round(float(ratio.iloc[-1]), 3)
+        below = piv.index[piv["MS"] < piv["NumPy"]]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = (piv["MS-II"] / piv["MS"]).iloc[1:]
         rows.append(
             {
                 "dataset": ds,
                 "workload": wid,
                 **{f"final_{m}_s": round(float(final[m]), 2) for m in piv.columns},
-                "ms_beats_numpy_at_query": cross,
-                "msii_over_ms_peak": ratio_peak,
-                "msii_over_ms_final": ratio_final,
+                "ms_beats_numpy_at_query": int(below.min()) if len(below) else None,
+                "msii_over_ms_peak": round(float(ratio.max()), 3),
+                "msii_over_ms_final": round(float(ratio.iloc[-1]), 3),
             }
         )
     return pd.DataFrame(rows)

@@ -168,9 +168,13 @@ def build_store(spark: SparkSession, spec: DatasetSpec, root: str) -> MaskStore:
             os.path.exists(os.path.join(masks_dir, f"{m}.npy")) for m in range(spec.n_masks)
         ):
             return MaskStore(root)
-    # A build that stops part-way must not leave a store that looks done.
+    # A build that stops part-way must not leave a store that looks done,
+    # and CHI indexes of the old masks (``MaskStore.index_path``) must not
+    # be reused against the new ones.
     with contextlib.suppress(FileNotFoundError):
         os.remove(done_path)
+    for index_dir in glob.glob(os.path.join(root, "chi_*x*_b*")):
+        shutil.rmtree(index_dir)
     os.makedirs(masks_dir, exist_ok=True)
     with open(spec_path, "w") as f:
         json.dump(spec_dict, f)

@@ -1,4 +1,5 @@
 """Mask store substrate tests."""
+import dataclasses
 import glob
 import json
 import os
@@ -11,6 +12,8 @@ import pytest
 
 from repro import harness
 from repro.core.chi import ChiIndex
+from repro.core.cp import CPTerm, cp_batch
+from repro.core.executor import MaskSearchEngine
 from repro.masks.synth import TINY, generate_mask
 from repro.maskstore.store import METADATA_SCHEMA, MaskStore, build_store, read_metadata
 
@@ -72,6 +75,23 @@ class TestBuildStore:
         build_store(spark, TINY, str(tmp_path))
         meta = read_metadata(str(tmp_path))
         assert len(meta) == TINY.n_masks and meta["mask_id"].is_unique
+
+    def test_rebuild_drops_stale_chi_indexes(self, spark, tiny_cfg, tmp_path):
+        """A store rebuilt with other masks at the same root keeps none of
+        the old masks' CHI directories, so ``ensure_index`` builds a new
+        index whose bounds contain every new mask's exact CP."""
+        root = str(tmp_path / "store")
+        harness.ensure_index(spark, build_store(spark, TINY, root), tiny_cfg)
+        store = build_store(spark, dataclasses.replace(TINY, seed=TINY.seed + 1), root)
+        assert glob.glob(os.path.join(root, "chi_*")) == []
+        path = harness.ensure_index(spark, store, tiny_cfg)
+        engine = MaskSearchEngine(spark, store, ChiIndex.load(spark, path, tiny_cfg))
+        meta = store.metadata_pandas(spark)
+        masks = np.stack([store.load_mask(m) for m in meta["mask_id"]])
+        for term in (CPTerm(0.55, 0.95, (3, 5, 27, 30)), CPTerm(0.5, 1.0, "object")):
+            exact = cp_batch(masks, term.rois(meta, TINY.width, TINY.height), term.lv, term.uv)
+            lb, ub = engine.bounds(meta, term)
+            assert ((lb <= exact) & (exact <= ub)).all()
 
 
 class TestMetadata:

@@ -28,6 +28,18 @@ no CHI entry gets the vacuous interval ``(-inf, +inf)``, so the filter
 stage always sends it to verification, and the verification scan builds
 its CHI and adds it to the index.
 
+Without an index (``index=None``) the engine is the paper's full-scan
+baseline class, PostgreSQL ≡ TileDB ≡ NumPy: all three load *every* mask
+that satisfies the relational (metadata) predicates and compute exact CP
+on it; Table 2 shows identical load counts and Figure 7 the same
+I/O-bound execution time for all three. Every mask gets vacuous bounds,
+so a filter verifies all targets in one scan and a ranking verifies all
+entities in its first round (the round-1 rule of :meth:`_rank`), and no
+CHI is built. MaskSearch and the baseline thus share targeting, the
+exact-CP kernels and every query class's finishing code; the only
+difference measured is the number of masks loaded — precisely the
+paper's claim.
+
 Every result records :class:`QueryStats` whose ``masks_loaded`` is the
 paper's Table 2 metric: the number of masks read from disk during
 execution, counted from the verification scans' output (one row per
@@ -100,9 +112,10 @@ class FilterPredicate:
 
 
 class MaskSearchEngine:
-    """MaskSearch over one store + one in-memory CHI (paper's "session")."""
+    """MaskSearch over one store + one in-memory CHI (paper's "session");
+    with ``index=None``, the full-scan baseline."""
 
-    def __init__(self, spark: SparkSession, store: MaskStore, index: ChiIndex):
+    def __init__(self, spark: SparkSession, store: MaskStore, index: ChiIndex | None):
         self.spark = spark
         self.store = store
         self.index = index
@@ -111,7 +124,9 @@ class MaskSearchEngine:
         self.w = store.spec.width
         self.h = store.spec.height
         # Bounds from CHIs of another mask size are unsound.
-        if index.row_shape not in (None, row_shape(index.cfg, self.w, self.h)):
+        if index is not None and index.row_shape not in (
+            None, row_shape(index.cfg, self.w, self.h)
+        ):
             raise ValueError(f"{index.row_shape} CHIs do not fit {self.w}x{self.h} masks")
 
     # ------------------------------------------------------------------
@@ -140,13 +155,14 @@ class MaskSearchEngine:
         self, meta: pd.DataFrame, term: CPTerm
     ) -> tuple[np.ndarray, np.ndarray]:
         """Certified (lb, ub) on ``CP(term)`` for each mask in ``meta``;
-        ``(-inf, +inf)`` for a mask not in the index.
+        ``(-inf, +inf)`` for a mask not in the index, and for every mask
+        without one.
 
         Not ``[0, |roi|]``: a threshold above ``|roi|`` would then decide
         a first-touch mask without loading, and so without indexing, it
         (§3.6)."""
         ids = meta["mask_id"].to_numpy(np.int64)
-        have = self.index.has(ids)
+        have = np.zeros(len(ids), bool) if self.index is None else self.index.has(ids)
         rois = term.rois(meta, self.w, self.h)
         lb = np.full(len(ids), -np.inf)
         ub = np.full(len(ids), np.inf)
@@ -178,9 +194,11 @@ class MaskSearchEngine:
         """Load the masks in ``meta`` from disk (the store scan opens
         only their files) and compute exact CP for every term. The same
         scan builds the CHI of the loaded masks the index lacks, which
-        are then added to it (§3.6).
+        are then added to it (§3.6); without an index it builds none.
         Returns ``mask_id, image_id, cp_0..cp_{n-1}``.
         """
+        if self.index is None:
+            return verify.exact_cp_pdf(self.spark, self.store, meta, terms)
         ids = meta["mask_id"].to_numpy(np.int64)
         pdf, new_ids, new_H = verify.exact_cp_and_chi(
             self.spark, self.store, meta, terms, self.index.cfg, chi_ids=ids[~self.index.has(ids)]
@@ -272,11 +290,14 @@ class MaskSearchEngine:
         n = len(keys)
         unverified = np.ones(n, dtype=bool)
         tau = float(np.partition(LO, n - k)[n - k]) if n > k else -np.inf
-        # First round verifies just enough to establish a running
-        # threshold; later rounds grow geometrically to bound the number
-        # of Spark jobs. This mirrors the paper's sequential scan whose
+        # ``tau`` never exceeds the k-th largest exact value, which never
+        # exceeds the k-th largest HI (``top``): no threshold can prune an
+        # entity with HI >= top, so round 1 takes all of them (with vacuous
+        # bounds, every entity). Later rounds grow geometrically to bound
+        # the number of Spark jobs, as the paper's sequential scan's
         # threshold tightens as exact values accumulate.
-        batch = max(2 * k, 32)
+        top = np.partition(HI, n - k)[n - k] if n > k else -np.inf
+        batch = max(2 * k, 32, int((HI >= top).sum()))
         found: list[pd.DataFrame] = []
         vals = np.empty(0)  # signed exact values verified so far
         decided = loaded = 0

@@ -1,5 +1,5 @@
-"""Exact-evaluation entry points shared by the verification stage and
-the full-scan baseline.
+"""Exact-evaluation entry points of the verification stage, for
+MaskSearch and for the full-scan baseline (the engine without an index).
 
 Each is one ``maskstore`` scan in verification mode
 (:class:`~repro.maskstore.datasource.VerifySpec`, JSON in a reader

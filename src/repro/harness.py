@@ -20,7 +20,7 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import SparkSession
 
-from repro.baselines.full_scan import FullScanBaseline
+from repro.core import verify
 from repro.core.bounds import cp_bounds_batch
 from repro.core.chi import ChiConfig, ChiIndex, build_index
 from repro.core.executor import MaskSearchEngine
@@ -73,29 +73,22 @@ def ensure_index(spark: SparkSession, store: MaskStore, cfg: ChiConfig) -> str:
     return path
 
 
-_ENGINE_CACHE: dict[tuple[int, str], MaskSearchEngine] = {}
-_BASELINE_CACHE: dict[tuple[int, str], FullScanBaseline] = {}
+_ENGINE_CACHE: dict[tuple[int, str, bool], MaskSearchEngine] = {}
 
 
-def get_engine(spark: SparkSession, name: str) -> MaskSearchEngine:
-    """Engine with the CHI held in memory, cached per session (the
-    paper's long-running MaskSearch session)."""
-    key = (id(spark), name)
+def get_engine(spark: SparkSession, name: str, indexed: bool = True) -> MaskSearchEngine:
+    """MaskSearch with the CHI held in memory (the paper's long-running
+    MaskSearch session) or, with ``indexed=False``, the full scan (the
+    engine without an index); cached per session."""
+    key = (id(spark), name, indexed)
     if key not in _ENGINE_CACHE:
         store = get_store(spark, name)
-        _, cfg = DATASETS[name]
-        path = ensure_index(spark, store, cfg)
-        _ENGINE_CACHE[key] = MaskSearchEngine(
-            spark, store, ChiIndex.load(spark, path, cfg)
-        )
+        index = None
+        if indexed:
+            _, cfg = DATASETS[name]
+            index = ChiIndex.load(spark, ensure_index(spark, store, cfg), cfg)
+        _ENGINE_CACHE[key] = MaskSearchEngine(spark, store, index)
     return _ENGINE_CACHE[key]
-
-
-def get_baseline(spark: SparkSession, name: str) -> FullScanBaseline:
-    key = (id(spark), name)
-    if key not in _BASELINE_CACHE:
-        _BASELINE_CACHE[key] = FullScanBaseline(spark, get_store(spark, name))
-    return _BASELINE_CACHE[key]
 
 
 def to_markdown(pdf: pd.DataFrame) -> str:
@@ -149,8 +142,6 @@ def warmup(spark: SparkSession, store: MaskStore) -> None:
     """Warm the Python-worker / Arrow / DataSource pipeline with one
     single-mask load so timed queries do not pay Spark's cold-start
     (the paper's analogue: a running session with a cold page cache)."""
-    from repro.core import verify
-
     meta = store.metadata_pandas(spark)
     verify.exact_cp_pdf(spark, store, meta.head(1), (CPTerm(0.0, 1.0, None),))
 
@@ -168,14 +159,15 @@ def run_individual_queries(
     """Q1-Q5 on one dataset: per-query wall-clock and masks loaded of
     MaskSearch and the full scan, asserting that both return equal rows.
 
-    ``fullscan`` is the paper's PG ≡ TileDB ≡ NumPy class.
+    ``fullscan`` is the paper's PG ≡ TileDB ≡ NumPy class: the engine
+    without an index.
     ``io_delay_ms`` > 0 enables the simulated-EBS mode (per-mask load
     latency), reproducing the paper's I/O-bound regime where query time
     is proportional to masks loaded.
     """
     executors = {
         "masksearch": get_engine(spark, dataset),
-        "fullscan": get_baseline(spark, dataset),
+        "fullscan": get_engine(spark, dataset, indexed=False),
     }
     spec, _ = DATASETS[dataset]
     rows = []
@@ -385,8 +377,7 @@ def run_multiquery(
     methods, including MS's up-front index build.
     """
     store = get_store(spark, dataset)
-    _, cfg = DATASETS[dataset]
-    spec, _ = DATASETS[dataset]
+    spec, cfg = DATASETS[dataset]
     warmup(spark, store)
     rows = []
     with io_delay(store, 40.0):

@@ -15,7 +15,8 @@ Three runners reproduce Figure 11's systems:
 - :func:`run_ms`   — MaskSearch with the full CHI built up-front (the
   build time is charged to the 0-th query, as in the paper);
 - :func:`run_msii` — MaskSearch with incremental indexing (§3.6);
-- :func:`run_numpy` — the full-scan baseline (NumPy ≡ PG ≡ TileDB).
+- :func:`run_numpy` — the full-scan baseline (NumPy ≡ PG ≡ TileDB): the
+  engine without an index.
 
 Each returns per-query wall-clock times; cumulative totals (index build
 + query execution) are what Figure 11 plots.
@@ -29,7 +30,6 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import SparkSession
 
-from repro.baselines.full_scan import FullScanBaseline
 from repro.core.chi import ChiConfig, ChiIndex, build_index
 from repro.core.executor import MaskSearchEngine
 from repro.core.incremental import IncrementalSession
@@ -137,4 +137,4 @@ def run_numpy(
     workload: list[WorkloadQuery],
 ) -> WorkloadRun:
     """Full-scan baseline (NumPy in Fig. 11; same loads as PG/TileDB)."""
-    return _run("NumPy", FullScanBaseline(spark, store), 0.0, workload)
+    return _run("NumPy", MaskSearchEngine(spark, store, None), 0.0, workload)

@@ -15,12 +15,10 @@ parameters (Table 1):
 ``k = 25`` is kept literal (the paper: "a reasonable number of masks to
 examine for a scientist").
 
-Each query is represented by a :class:`Query` whose :meth:`run` accepts
-any executor exposing the engine interface (both
-:class:`~repro.core.executor.MaskSearchEngine` and
-:class:`~repro.baselines.full_scan.FullScanBaseline` do), so the same
-query object drives the MaskSearch and baseline rows of Table 2 /
-Figure 7.
+Each query is represented by a :class:`Query` whose :meth:`run` takes a
+:class:`~repro.core.executor.MaskSearchEngine`, with an index
+(MaskSearch) or without one (the full-scan baseline), so the same query
+object drives the MaskSearch and baseline rows of Table 2 / Figure 7.
 """
 from __future__ import annotations
 

@@ -2,7 +2,6 @@
 the exploded-pixel oracle tables."""
 import pytest
 
-from repro.baselines.full_scan import FullScanBaseline
 from repro.core.chi import ChiConfig, ChiIndex, build_index
 from repro.core.executor import MaskSearchEngine
 from repro.core.incremental import IncrementalSession
@@ -57,7 +56,8 @@ def msii(spark, tiny_store):
 
 @pytest.fixture(scope="session")
 def baseline(spark, tiny_store):
-    return FullScanBaseline(spark, tiny_store)
+    """The full-scan baseline: the engine without an index."""
+    return MaskSearchEngine(spark, tiny_store, None)
 
 
 @pytest.fixture(scope="session")

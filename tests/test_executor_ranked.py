@@ -1,9 +1,15 @@
 """The four ranked query classes (top-k, ratio top-k, Q4, Q5) share one
 refinement path; on an empty target each returns exactly the baseline's
-frame, column dtypes included."""
+frame, column dtypes included. The path itself is checked without Spark
+against a brute-force ranking."""
+import numpy as np
+import pandas as pd
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.cp import OBJECT_ROI, CPTerm
+from repro.core.executor import MaskSearchEngine
 
 TERM = CPTerm(0.5, 1.0, OBJECT_ROI)
 
@@ -42,3 +48,44 @@ def test_k_below_one_raises(request, run, side, k):
     empty or truncated frame."""
     with pytest.raises(ValueError, match="k must be"):
         run(request.getfixturevalue(side), k)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(1, 300),
+    k=st.integers(1, 40),
+    descending=st.booleans(),
+    tied=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_rank_matches_brute_force(n, k, descending, tied, seed):
+    """``_rank`` with a fake ``exact`` over random intervals that contain
+    the true values: the answer is the brute-force top-k (key ascending on
+    ties); round 1 verifies every entity whose HI reaches the k-th largest
+    HI, as no threshold can prune it; equal bounds take one round."""
+    g = np.random.default_rng(seed)
+    keys = g.permutation(10 * n)[:n]
+    val = g.integers(0, 20, n).astype(float)  # small range: many ties
+    if tied:
+        lo, hi = np.zeros(n), np.full(n, 20.0)
+    else:
+        lo = val - g.integers(0, 8, n) * g.random(n)
+        hi = val + g.integers(0, 8, n) * g.random(n)
+    meta = pd.DataFrame({"mask_id": keys})
+    ent = pd.DataFrame({"lo": lo, "hi": hi, "n": 1}, index=pd.Index(keys, name="mask_id"))
+    truth = pd.DataFrame({"mask_id": keys, "val": val})
+    calls = []
+
+    def exact(sub):
+        calls.append(set(sub["mask_id"]))
+        return truth[truth["mask_id"].isin(sub["mask_id"])], len(sub)
+
+    r = MaskSearchEngine._rank(None, meta, "mask_id", ent, k, descending, exact)
+    want = truth.sort_values(["val", "mask_id"], ascending=[not descending, True]).head(k)
+    assert r.pdf.equals(want.reset_index(drop=True))
+    assert r.stats.masks_loaded == r.stats.n_verified == sum(map(len, calls))
+    HI = hi if descending else -lo
+    top = np.sort(HI)[-k] if n > k else -np.inf
+    assert set(keys[HI >= top]) <= calls[0]
+    if tied:
+        assert len(calls) == 1

@@ -12,7 +12,6 @@ def test_table2_summary_layout(spark, tmp_path, monkeypatch):
     scan (``run_individual_queries`` also asserts both return equal rows)."""
     monkeypatch.setattr(harness, "DATA_DIR", str(tmp_path))
     monkeypatch.setattr(harness, "_ENGINE_CACHE", {})
-    monkeypatch.setattr(harness, "_BASELINE_CACHE", {})
     table = harness.summarize_masks_loaded(harness.run_individual_queries(spark, "tiny"))
     assert list(table.columns) == [
         "dataset", "query", "masksearch_loaded", BASELINE, "n_targeted", "reduction_x",

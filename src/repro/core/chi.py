@@ -137,16 +137,15 @@ def build_index(
     ``store`` is a :class:`repro.maskstore.store.MaskStore`.
     """
     # Imported here: the datasource imports this module.
-    from repro.core import verify
-    from repro.maskstore.datasource import VerifySpec
+    from repro.maskstore import datasource
 
     out = out_path or store.index_path(cfg)
     meta = store.metadata_pandas(spark)
     nx, ny = cfg.grid(store.spec.width, store.spec.height)
-    spec = VerifySpec((), cfg, frozenset(meta["mask_id"].tolist()))
+    spec = datasource.VerifySpec((), cfg, frozenset(meta["mask_id"].tolist()))
     dims = {"ny": ny, "nx": nx, "b": cfg.b, "wc": cfg.wc, "hc": cfg.hc}
     (
-        verify._target_scan(spark, store, meta, spec)
+        datasource.scan(spark, store, spec=spec)
         .select("mask_id", *(F.lit(v).alias(k) for k, v in dims.items()), "h")
         .write.mode("overwrite")
         .parquet(out)
@@ -225,9 +224,6 @@ class ChiIndex:
     # -- access ---------------------------------------------------------
     def __len__(self) -> int:
         return int(self._present.sum())
-
-    def __contains__(self, mask_id: int) -> bool:
-        return bool(self.has(np.array([mask_id]))[0])
 
     @property
     def row_shape(self) -> tuple[int, int, int] | None:

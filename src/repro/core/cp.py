@@ -64,11 +64,6 @@ class CPTerm:
         return np.tile(np.asarray(self.resolve_roi(w, h), dtype=np.int64), (len(meta), 1))
 
 
-def roi_area(roi: ROI) -> int:
-    x1, y1, x2, y2 = roi
-    return max(0, x2 - x1) * max(0, y2 - y1)
-
-
 def cp(mask: np.ndarray, roi: ROI | None, lv: float, uv: float) -> int:
     """Exact ``CP(mask, roi, (lv, uv))`` — count of pixels in ``roi``
     with values in ``[lv, uv)``."""

@@ -57,7 +57,6 @@ from repro.core import verify
 from repro.core.bounds import cp_bounds_batch
 from repro.core.chi import ChiIndex, row_shape
 from repro.core.cp import CPTerm
-from repro.maskstore import datasource
 from repro.maskstore.store import MaskStore
 
 GT, LT = ">", "<"
@@ -119,7 +118,6 @@ class MaskSearchEngine:
         self.spark = spark
         self.store = store
         self.index = index
-        datasource.register(spark)
         self.meta = store.metadata_pandas(spark)
         self.w = store.spec.width
         self.h = store.spec.height

@@ -27,48 +27,21 @@ from repro.maskstore.store import MaskStore
 #: ``verify.large_set_calls`` metric split on: above it, a plain scan
 #: passes ids through the ``maskids`` option rather than a Catalyst
 #: ``In`` literal list, whose analysis cost grows with the literal count
-#: (seconds at ~10^4 ids). Verification scans always use ``maskids``.
+#: (seconds at ~10^4 ids). Read only by ``perfbench/``; verification
+#: scans always use ``maskids``.
 IN_FILTER_MAX = 1024
 
 
-def _target_scan(
-    spark: SparkSession,
-    store: MaskStore,
-    meta: pd.DataFrame,
-    spec: datasource.VerifySpec | None = None,
-):
-    """Store scan restricted to exactly ``meta``'s masks, one read task
-    per core, in verification mode when ``spec`` is given. The whole
-    store is scanned without a target list; any other set travels as
-    the ``maskids`` option, which the reader checks against the metadata
-    and applies before opening a file. Opens exactly ``len(meta)`` mask
-    files."""
-    datasource.register(spark)  # idempotent; callers may not have yet
-    ids = None if len(meta) == store.n_masks() else meta["mask_id"].tolist()
-    delay = getattr(store, "io_delay_ms", 0.0)
-    return datasource.scan(spark, store.root, io_delay_ms=delay, mask_ids=ids, spec=spec)
-
-
-def _empty(names) -> pd.DataFrame:
-    return pd.DataFrame({c: pd.Series(dtype=object if c == "h" else np.int64) for c in names})
-
-
-def _cp_chi_scan(
-    spark: SparkSession,
-    store: MaskStore,
-    meta: pd.DataFrame,
-    terms: tuple[CPTerm, ...],
-    cfg: ChiConfig | None,
-    chi_ids: frozenset,
+def _run(
+    spark: SparkSession, store: MaskStore, meta: pd.DataFrame, spec: datasource.VerifySpec
 ) -> pd.DataFrame:
-    """The one per-mask CP scan: exact CP per term for every mask in
-    ``meta``, plus the flattened CHI (``h``) of every mask in ``chi_ids``
-    (``[]`` for the others). Returns ``mask_id, image_id, cp_0..cp_{n-1},
-    h`` (pandas; one row per opened mask)."""
-    spec = datasource.VerifySpec(tuple(terms), cfg, chi_ids)
+    """One verification round: the scan of exactly ``meta``'s masks in
+    ``spec``'s mode, collected. An empty target set starts no job and
+    returns an empty frame of the spec's columns."""
     if len(meta) == 0:
-        return _empty(spec.schema().fieldNames())
-    return _target_scan(spark, store, meta, spec).toPandas()
+        names = spec.schema().fieldNames()
+        return pd.DataFrame({c: pd.Series(dtype=object if c == "h" else np.int64) for c in names})
+    return datasource.scan(spark, store, meta, spec).toPandas()
 
 
 def exact_cp_pdf(
@@ -82,7 +55,7 @@ def exact_cp_pdf(
     Returns ``mask_id, image_id, cp_0..cp_{n-1}`` (pandas; one row per
     mask).
     """
-    return _cp_chi_scan(spark, store, meta, terms, None, frozenset()).drop(columns=["h"])
+    return _run(spark, store, meta, datasource.VerifySpec(tuple(terms))).drop(columns=["h"])
 
 
 def exact_maskagg_pdf(
@@ -95,10 +68,7 @@ def exact_maskagg_pdf(
     """Exact per-image ``CP(INTERSECT(masks >= t), roi, (lv, uv))``; each
     image's masks in ``meta`` are intersected inside the reader. Returns
     ``image_id, val, n``, ``n`` being the masks opened for the image."""
-    spec = datasource.VerifySpec((term,), t=t)
-    if len(meta) == 0:
-        return _empty(spec.schema().fieldNames())
-    return _target_scan(spark, store, meta, spec).toPandas()
+    return _run(spark, store, meta, datasource.VerifySpec((term,), t=t))
 
 
 def exact_cp_and_chi(
@@ -117,7 +87,8 @@ def exact_cp_and_chi(
     ``(cp_pdf, chi_mask_ids, H_tensor)``; ``cp_pdf`` covers every mask in
     ``meta``, the CHI outputs only ``chi_ids``.
     """
-    out = _cp_chi_scan(spark, store, meta, terms, cfg, frozenset(int(v) for v in chi_ids))
+    spec = datasource.VerifySpec(tuple(terms), cfg, frozenset(int(v) for v in chi_ids))
+    out = _run(spark, store, meta, spec)
     with_chi = out[out["h"].map(len) > 0]
     shape = row_shape(cfg, store.spec.width, store.spec.height)
     H = rows_to_tensor(pa.array(with_chi["h"], pa.list_(pa.int64())), shape)

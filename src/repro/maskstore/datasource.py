@@ -9,8 +9,7 @@ file is opened, in two ways:
   (``mask_id``, ``image_id``, ``model_id``) are consumed there and
   applied to the *metadata*, so a scan like
 
-      spark.read.format("maskstore").options(path=root).load()
-           .where(col("mask_id").isin(candidates))
+      scan(spark, store).where(col("mask_id").isin(candidates))
 
   opens exactly the candidate ``.npy`` files;
 - the ``maskids`` option carries an explicit target list, which is how
@@ -37,7 +36,7 @@ chunk of masks, so a verification task runs a single Python stage:
   split on image boundaries, so there is no shuffle) and ``n`` counts
   the masks opened for it.
 
-Register once per session with :func:`register`.
+:func:`scan` builds every scan of the store and registers the source.
 """
 from __future__ import annotations
 
@@ -73,7 +72,7 @@ from pyspark.sql.types import (
 
 from repro.core.chi import ChiConfig, build_chi_array
 from repro.core.cp import OBJECT_ROI, CPTerm, cp_batch, intersect_threshold
-from repro.maskstore.store import read_metadata
+from repro.maskstore.store import MaskStore, read_metadata
 
 SCHEMA = StructType(
     [
@@ -387,7 +386,7 @@ class MaskStoreReader(DataSourceReader):
 
 
 class MaskStoreDataSource(DataSource):
-    """``format("maskstore")`` — scans a :class:`MaskStore` directory."""
+    """The ``maskstore`` source: scans a :class:`MaskStore` directory."""
 
     @classmethod
     def name(cls) -> str:
@@ -418,33 +417,36 @@ def register(spark: SparkSession) -> None:
 
 def scan(
     spark: SparkSession,
-    root: str,
-    io_delay_ms: float = 0.0,
-    mask_ids=None,
+    store: MaskStore,
+    meta=None,
     spec: VerifySpec | None = None,
 ):
-    """Convenience: DataFrame over the store at ``root``.
+    """DataFrame over ``store``: the one place a ``maskstore`` scan is
+    built. Registers the source on first use.
 
     The scan runs one read task per core (``defaultParallelism``), capped
     by the reader at the number of selected masks. A verification task
     runs one Python stage (this reader), so more tasks than cores only
-    add waves of fixed per-task cost.
+    add waves of fixed per-task cost. Each mask read is charged
+    ``store.io_delay_ms``.
 
-    ``mask_ids`` (if given) is passed through the ``maskids`` option —
-    the verification stage's target path; a direct read may instead use
-    ``.where(col("mask_id").isin(...))`` to exercise Catalyst pushdown.
-    ``spec`` switches the reader to verification mode (module
-    docstring).
+    ``meta`` (metadata rows, if given) restricts the scan to exactly its
+    masks: unless it covers the whole store, its mask ids travel as
+    the ``maskids`` option, the verification stage's target path. A plain
+    read may instead use ``.where(col("mask_id").isin(...))`` to exercise
+    Catalyst pushdown. ``spec`` switches the reader to verification mode
+    (module docstring).
     """
+    register(spark)
     r = (
         spark.read.format("maskstore")
-        .option("path", root)
+        .option("path", store.root)
         .option("numpartitions", str(spark.sparkContext.defaultParallelism))
     )
-    if io_delay_ms:
-        r = r.option("iodelayms", str(io_delay_ms))
-    if mask_ids is not None:
-        r = r.option("maskids", ",".join(str(int(v)) for v in mask_ids))
+    if store.io_delay_ms:
+        r = r.option("iodelayms", str(store.io_delay_ms))
+    if meta is not None and len(meta) != store.n_masks():
+        r = r.option("maskids", ",".join(str(int(v)) for v in meta["mask_id"]))
     if spec is not None:
         r = r.option("verify", spec.to_json())
     return r.load()

@@ -23,6 +23,7 @@ image's masks with the deterministic per-mask generators from
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import glob
 import json
 import os
@@ -57,20 +58,11 @@ class MaskStore:
     def __init__(self, root: str, io_delay_ms: float = 0.0):
         self.root = os.path.abspath(root)
         #: Simulated-EBS per-mask load latency (ms), applied by the
-        #: ``maskstore`` DataSource when this store is scanned through
-        #: :mod:`repro.core.verify` (DESIGN.md §3). 0 = raw local I/O.
+        #: ``maskstore`` DataSource to every scan of this store
+        #: (:func:`repro.maskstore.datasource.scan`, DESIGN.md §3).
+        #: 0 = raw local I/O.
         self.io_delay_ms = io_delay_ms
-        spec_path = os.path.join(self.root, "_SPEC.json")
-        with open(spec_path) as f:
-            d = json.load(f)
-        self.spec = DatasetSpec(
-            name=d["name"],
-            n_images=d["n_images"],
-            width=d["width"],
-            height=d["height"],
-            model_ids=tuple(d["model_ids"]),
-            seed=d["seed"],
-        )
+        self.spec = _read_spec(self.root)
         self._meta_pdf: pd.DataFrame | None = None
 
     # -- paths ------------------------------------------------------------
@@ -105,6 +97,19 @@ class MaskStore:
     def raw_bytes(self) -> int:
         """Uncompressed dataset size: 4 B per pixel (float32)."""
         return 4 * self.spec.n_masks * self.spec.width * self.spec.height
+
+
+def _write_spec(root: str, spec: DatasetSpec) -> None:
+    """Record ``spec`` as the store's ``_SPEC.json``."""
+    with open(os.path.join(root, "_SPEC.json"), "w") as f:
+        json.dump(dataclasses.asdict(spec), f)
+
+
+def _read_spec(root: str) -> DatasetSpec:
+    """The :class:`DatasetSpec` :func:`_write_spec` recorded under ``root``."""
+    with open(os.path.join(root, "_SPEC.json")) as f:
+        d = json.load(f)
+    return DatasetSpec(**{**d, "model_ids": tuple(d["model_ids"])})
 
 
 def read_metadata(root: str) -> pd.DataFrame:
@@ -149,20 +154,13 @@ def build_store(spark: SparkSession, spec: DatasetSpec, root: str) -> MaskStore:
     """Materialise ``spec`` under ``root`` (idempotent: reuses a complete
     existing store with the same spec) and return a :class:`MaskStore`."""
     root = os.path.abspath(root)
-    spec_path = os.path.join(root, "_SPEC.json")
     done_path = os.path.join(root, "_DONE")
-    spec_dict = {
-        "name": spec.name,
-        "n_images": spec.n_images,
-        "width": spec.width,
-        "height": spec.height,
-        "model_ids": list(spec.model_ids),
-        "seed": spec.seed,
-    }
     masks_dir = os.path.join(root, "masks")
-    if os.path.exists(done_path) and os.path.exists(spec_path):
-        with open(spec_path) as f:
-            same = json.load(f) == spec_dict
+    if os.path.exists(done_path):
+        same = False
+        # A missing or foreign ``_SPEC.json`` means another store.
+        with contextlib.suppress(OSError, ValueError, TypeError, KeyError):
+            same = _read_spec(root) == spec
         # Markers alone are not trusted: the content must be there too.
         if same and glob.glob(os.path.join(root, "metadata", "*.parquet")) and all(
             os.path.exists(os.path.join(masks_dir, f"{m}.npy")) for m in range(spec.n_masks)
@@ -176,8 +174,7 @@ def build_store(spark: SparkSession, spec: DatasetSpec, root: str) -> MaskStore:
     for index_dir in glob.glob(os.path.join(root, "chi_*x*_b*")):
         shutil.rmtree(index_dir)
     os.makedirs(masks_dir, exist_ok=True)
-    with open(spec_path, "w") as f:
-        json.dump(spec_dict, f)
+    _write_spec(root, spec)
 
     # The directory's contents are replaced, so a rebuild leaves no
     # stale part file beside the new one.

@@ -137,7 +137,7 @@ class TestChiIndexStructure:
         idx.add(np.array([10]), H1[None])
         idx.add(np.array([20]), H2[None])
         assert len(idx) == 2
-        assert 10 in idx and 20 in idx and 30 not in idx
+        assert idx.has(np.array([10, 20, 30])).tolist() == [True, True, False]
         got = idx.gather(np.array([20, 10]))
         assert np.array_equal(got[0], H2)
         assert np.array_equal(got[1], H1)

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from repro.core.cp import OBJECT_ROI, CPTerm, cp, intersect_threshold, roi_area
+from repro.core.cp import OBJECT_ROI, CPTerm, cp, intersect_threshold
 
 # The paper's Figure 3 toy mask (5x5): mask[y][x], rows top to bottom.
 FIG3 = np.array(
@@ -78,14 +78,6 @@ class TestCP:
             if lv <= m[yy, xx] < uv
         )
         assert cp(m, (x1, y1, x2, y2), lv, uv) == naive
-
-
-class TestRoiArea:
-    @pytest.mark.parametrize(
-        "roi,area", [((0, 0, 5, 5), 25), ((1, 2, 3, 4), 4), ((0, 0, 1, 1), 1)]
-    )
-    def test_area(self, roi, area):
-        assert roi_area(roi) == area
 
 
 class TestCPTerm:

@@ -6,25 +6,22 @@ from pyspark.sql import functions as F
 from pyspark.sql.datasource import EqualTo, GreaterThan, In, LessThanOrEqual, StringContains
 
 from repro.maskstore import datasource as ds
-from repro.maskstore.store import read_metadata
+from repro.maskstore.store import MaskStore, read_metadata
 
 
 class TestScan:
     def test_count_all(self, spark, tiny_store):
-        ds.register(spark)
-        assert ds.scan(spark, tiny_store.root).count() == tiny_store.n_masks()
+        assert ds.scan(spark, tiny_store).count() == tiny_store.n_masks()
 
     def test_schema(self, spark, tiny_store):
-        ds.register(spark)
-        df = ds.scan(spark, tiny_store.root)
+        df = ds.scan(spark, tiny_store)
         assert [f.name for f in df.schema.fields] == [
             "mask_id", "image_id", "model_id", "height", "width", "values",
         ]
 
     def test_values_roundtrip(self, spark, tiny_store):
-        ds.register(spark)
         row = (
-            ds.scan(spark, tiny_store.root)
+            ds.scan(spark, tiny_store)
             .where(F.col("mask_id") == 7)
             .collect()[0]
         )
@@ -32,10 +29,9 @@ class TestScan:
         assert np.array_equal(got, tiny_store.load_mask(7))
 
     def test_isin_filter(self, spark, tiny_store):
-        ds.register(spark)
         ids = [0, 5, 9, 44]
         rows = (
-            ds.scan(spark, tiny_store.root)
+            ds.scan(spark, tiny_store)
             .where(F.col("mask_id").isin(ids))
             .select("mask_id")
             .collect()
@@ -43,14 +39,12 @@ class TestScan:
         assert sorted(r.mask_id for r in rows) == ids
 
     def test_model_filter(self, spark, tiny_store):
-        ds.register(spark)
-        n = ds.scan(spark, tiny_store.root).where(F.col("model_id") == 1).count()
+        n = ds.scan(spark, tiny_store).where(F.col("model_id") == 1).count()
         assert n == tiny_store.spec.n_images
 
     def test_empty_result(self, spark, tiny_store):
-        ds.register(spark)
         assert (
-            ds.scan(spark, tiny_store.root).where(F.col("mask_id") == 10**9).count() == 0
+            ds.scan(spark, tiny_store).where(F.col("mask_id") == 10**9).count() == 0
         )
 
     def test_missing_path_option_raises(self):
@@ -128,16 +122,14 @@ class TestPushdown:
         ids = [m for p in r.partitions() for m in p.mask_ids]
         assert sorted(ids) == [3, 5, 8]
 
-    def test_maskids_option_through_spark(self, spark, tiny_store):
-        ds.register(spark)
-        df = ds.scan(spark, tiny_store.root, mask_ids=[2, 4, 6, 8])
+    def test_maskids_option_through_spark(self, spark, tiny_store, tiny_meta):
+        df = ds.scan(spark, tiny_store, tiny_meta[tiny_meta["mask_id"].isin([2, 4, 6, 8])])
         assert sorted(r.mask_id for r in df.select("mask_id").collect()) == [2, 4, 6, 8]
 
-    def test_maskids_combines_with_pushed_filter(self, spark, tiny_store):
+    def test_maskids_combines_with_pushed_filter(self, spark, tiny_store, tiny_meta):
         from pyspark.sql import functions as F
 
-        ds.register(spark)
-        df = ds.scan(spark, tiny_store.root, mask_ids=range(0, 20)).where(
+        df = ds.scan(spark, tiny_store, tiny_meta[tiny_meta["mask_id"] < 20]).where(
             F.col("model_id") == 1
         )
         got = sorted(r.mask_id for r in df.select("mask_id").collect())
@@ -145,36 +137,34 @@ class TestPushdown:
         expect = meta[(meta["mask_id"] < 20) & (meta["model_id"] == 1)]["mask_id"]
         assert got == sorted(int(v) for v in expect)
 
-    def test_io_delay_applied(self, spark, tiny_store):
-        """Simulated-EBS mode: per-mask latency slows the scan."""
+    def test_io_delay_applied(self, spark, tiny_store, tiny_meta):
+        """Simulated-EBS mode: the store's per-mask latency slows the scan."""
         import time
 
-        ds.register(spark)
+        store = MaskStore(tiny_store.root, io_delay_ms=300)
         t0 = time.perf_counter()
-        ds.scan(spark, tiny_store.root, mask_ids=[0], io_delay_ms=300).collect()
+        ds.scan(spark, store, tiny_meta.head(1)).collect()
         assert time.perf_counter() - t0 >= 0.3
 
 
 @pytest.mark.parametrize(
-    "select, in_filter_max",
+    "select",
     [
-        (lambda m: m, None),
-        (lambda m: m[m["model_id"] == 1], None),
-        (lambda m: m.iloc[[3, 40, 77]], None),
-        (lambda m: m.iloc[::2].head(50), None),
-        (lambda m: m.iloc[::2].head(50), 10),
+        lambda m: m,
+        lambda m: m[m["model_id"] == 1],
+        lambda m: m.iloc[[3, 40, 77]],
+        lambda m: m.iloc[::2].head(50),
+        lambda m: m.iloc[1:],
     ],
     ids=["full_store", "one_model", "mask_id_in_3", "mask_id_in_50", "maskids_option"],
 )
-def test_verification_scan_runs_one_task_per_core(
-    spark, tiny_store, tiny_meta, monkeypatch, select, in_filter_max
-):
-    """Every pruning path of the verification scan fans out to the
-    session's parallelism, capped at the number of targeted masks."""
-    from repro.core import verify
-
-    if in_filter_max is not None:
-        monkeypatch.setattr(verify, "IN_FILTER_MAX", in_filter_max)
+def test_verification_scan_runs_one_task_per_core(spark, tiny_store, tiny_meta, select):
+    """Every target set the verification scan is given fans out to the
+    session's parallelism, capped at the number of targeted masks, and
+    reads exactly those masks. Every set but the whole store travels as
+    the ``maskids`` option; ``maskids_option`` is the largest such set,
+    all masks but one."""
     meta = select(tiny_meta)
-    df = verify._target_scan(spark, tiny_store, meta)
+    df = ds.scan(spark, tiny_store, meta)
     assert df.rdd.getNumPartitions() == min(spark.sparkContext.defaultParallelism, len(meta))
+    assert sorted(r.mask_id for r in df.select("mask_id").collect()) == sorted(meta["mask_id"])

@@ -16,7 +16,7 @@ from repro import harness
 
 def run(spark: SparkSession) -> tuple[pd.DataFrame, dict[str, bool]]:
     parts = [
-        harness.run_bound_tightness(spark, ds, n_masks=1000)
+        harness.run_bound_tightness(spark, ds)
         for ds in ("wilds_lite", "imagenet_lite")
     ]
     pdf = pd.concat(parts, ignore_index=True)

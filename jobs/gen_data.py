@@ -7,7 +7,6 @@ import pandas as pd
 from pyspark.sql import SparkSession
 
 from repro import harness
-from repro.core.chi import ChiIndex
 
 
 def run(spark: SparkSession) -> tuple[pd.DataFrame, dict[str, bool]]:
@@ -16,18 +15,19 @@ def run(spark: SparkSession) -> tuple[pd.DataFrame, dict[str, bool]]:
     for name in ("wilds_lite", "imagenet_lite"):
         store = harness.get_store(spark, name)
         _, cfg = harness.DATASETS[name]
-        path = harness.ensure_index(spark, store, cfg)
-        idx = ChiIndex.load(spark, path, cfg)
+        harness.ensure_index(spark, store, cfg)
+        spec = store.spec
+        index_bytes = store.n_masks() * cfg.index_bytes_per_mask(spec.width, spec.height)
         rows.append(
             (
                 name,
-                store.spec.n_images,
+                spec.n_images,
                 store.n_masks(),
-                f"{store.spec.width}x{store.spec.height}",
+                f"{spec.width}x{spec.height}",
                 cfg.tag(),
                 store.raw_bytes(),
-                idx.nbytes(),
-                round(idx.nbytes() / store.raw_bytes(), 4),
+                index_bytes,
+                round(index_bytes / store.raw_bytes(), 4),
             )
         )
     pdf = pd.DataFrame(

@@ -242,11 +242,3 @@ class ChiIndex:
         if self._H is None or not self.has(ids).all():
             raise KeyError(f"not indexed: {ids[~self.has(ids)][:10].tolist()}")
         return self._H[ids]
-
-    def nbytes(self) -> int:
-        """Paper-style uncompressed size: 4 B per stored (cell, bin) count,
-        zero padding row/column excluded (it is never persisted)."""
-        if self._H is None:
-            return 0
-        ny1, nx1, b = self._H.shape[1:]
-        return 4 * len(self) * (ny1 - 1) * (nx1 - 1) * b

@@ -304,14 +304,15 @@ def fml_time_correlation(per_query: pd.DataFrame) -> pd.DataFrame:
 # ---------------------------------------------------------------------------
 # Figure 10: bound tightness vs index granularity and value range
 # ---------------------------------------------------------------------------
-def run_bound_tightness(
-    spark: SparkSession,
-    dataset: str,
-    n_masks: int = 1000,
-) -> pd.DataFrame:
+#: Masks sampled per dataset for the bound distributions (the paper's 1000).
+BOUND_SAMPLE = 1000
+
+
+def run_bound_tightness(spark: SparkSession, dataset: str) -> pd.DataFrame:
     """Bound distributions for (index size, value range) combinations
-    (Figure 10): mean relative interval width and the FML induced by
-    percentile count thresholds. ROI is the object bounding box."""
+    (Figure 10) over :data:`BOUND_SAMPLE` sampled masks: mean relative
+    interval width and the FML induced by percentile count thresholds.
+    ROI is the object bounding box."""
     store = get_store(spark, dataset)
     spec, cfg_fine = DATASETS[dataset]
 
@@ -330,7 +331,7 @@ def run_bound_tightness(
     )
     meta = store.metadata_pandas(spark)
     g = np.random.default_rng(0)
-    sample = meta.sample(min(n_masks, len(meta)), random_state=int(g.integers(1 << 30)))
+    sample = meta.sample(min(BOUND_SAMPLE, len(meta)), random_state=int(g.integers(1 << 30)))
     rows = []
     for cfg, size_name in ((cfg_fine, "fine"), (cfg_coarse, "coarse")):
         path = ensure_index(spark, store, cfg)

@@ -2,20 +2,21 @@
 a fused verification mode.
 
 This is the verification-stage scan path. Masks are selected before any
-file is opened, in two ways:
+file is opened, through one set of target ids (``target_ids``), which
+two inputs narrow:
 
+- the ``maskids`` option carries an explicit target list, which is how
+  the verification stage passes its candidates (no literal list for
+  Catalyst to analyse);
 - Catalyst's V2 pushdown rule hands the query's predicates to
-  :meth:`MaskStoreReader.pushFilters`; filters on the relational columns
-  (``mask_id``, ``image_id``, ``model_id``) are consumed there and
-  applied to the *metadata*, so a scan like
+  :meth:`MaskStoreReader.pushFilters`, which consumes only
+  ``mask_id IN (...)`` and ``mask_id = v``, so a scan like
 
       scan(spark, store).where(col("mask_id").isin(candidates))
 
-  opens exactly the candidate ``.npy`` files;
-- the ``maskids`` option carries an explicit target list, which is how
-  the verification stage passes its candidates (no literal list for
-  Catalyst to analyse, and the verification schemas have no
-  ``model_id`` to filter on).
+  opens exactly the candidate ``.npy`` files. Every other predicate
+  (``model_id``, ``image_id``, ranges) is returned to Spark, which
+  applies it to the rows read.
 
 This is how the engine's filter-verification framework guarantees that
 pruned masks are never loaded from disk (paper §3.2), expressed through
@@ -54,12 +55,8 @@ from pyspark.sql.datasource import (
     DataSourceReader,
     EqualTo,
     Filter,
-    GreaterThan,
-    GreaterThanOrEqual,
     In,
     InputPartition,
-    LessThan,
-    LessThanOrEqual,
 )
 from pyspark.sql.types import (
     ArrayType,
@@ -85,7 +82,6 @@ SCHEMA = StructType(
     ]
 )
 
-_FILTERABLE = {"mask_id", "image_id", "model_id"}
 #: Masks per Arrow batch: bounded worker memory.
 CHUNK = 64
 
@@ -195,9 +191,8 @@ class MaskPartition(InputPartition):
 
 
 class MaskStoreReader(DataSourceReader):
-    """Reader with relational-column filter pushdown, metadata-level
-    file pruning and, with a :class:`VerifySpec`, the verification
-    kernel."""
+    """Reader with ``mask_id`` filter pushdown, metadata-level file
+    pruning and, with a :class:`VerifySpec`, the verification kernel."""
 
     def __init__(self, options):
         self.root = options.get("path")
@@ -219,7 +214,6 @@ class MaskStoreReader(DataSourceReader):
         self.spec = None if raw_spec is None else VerifySpec.from_json(raw_spec)
         if self.spec is not None or self.target_ids is not None:
             self._check(read_metadata(self.root))
-        self._pushed: List[Filter] = []
 
     def _check(self, meta) -> None:
         """Reject targets that would silently yield fewer rows, and ROIs
@@ -242,37 +236,16 @@ class MaskStoreReader(DataSourceReader):
 
     # -- Catalyst pushdown ------------------------------------------------
     def pushFilters(self, filters: List[Filter]) -> Iterator[Filter]:
-        """Consume supported filters; return the rest for Spark to apply."""
+        """Consume ``mask_id IN (...)`` and ``mask_id = v`` (what Catalyst
+        pushes for ``isin``) by narrowing :attr:`target_ids`, the set the
+        ``maskids`` option fills; return every other filter for Spark to
+        apply after the scan."""
         for f in filters:
-            attr = getattr(f, "attribute", None)
-            col = attr[0] if attr and len(attr) == 1 else None
-            if col in _FILTERABLE and isinstance(
-                f,
-                (In, EqualTo, GreaterThan, GreaterThanOrEqual, LessThan, LessThanOrEqual),
-            ):
-                self._pushed.append(f)
+            if isinstance(f, (In, EqualTo)) and f.attribute == ("mask_id",):
+                ids = frozenset(f.value) if isinstance(f, In) else frozenset([f.value])
+                self.target_ids = ids if self.target_ids is None else self.target_ids & ids
             else:
                 yield f
-
-    def _apply_pushed(self, meta):
-        keep = np.ones(len(meta), dtype=bool)
-        if self.target_ids is not None:
-            keep &= meta["mask_id"].isin(self.target_ids).to_numpy()
-        for f in self._pushed:
-            col = meta[f.attribute[0]]
-            if isinstance(f, In):
-                keep &= col.isin(list(f.value)).to_numpy()
-            elif isinstance(f, EqualTo):
-                keep &= (col == f.value).to_numpy()
-            elif isinstance(f, GreaterThan):
-                keep &= (col > f.value).to_numpy()
-            elif isinstance(f, GreaterThanOrEqual):
-                keep &= (col >= f.value).to_numpy()
-            elif isinstance(f, LessThan):
-                keep &= (col < f.value).to_numpy()
-            elif isinstance(f, LessThanOrEqual):
-                keep &= (col <= f.value).to_numpy()
-        return meta[keep]
 
     def _cuts(self, image_ids, cuts) -> list[int]:
         """Row offsets splitting a slice into batches. In Q5 mode each is
@@ -286,7 +259,9 @@ class MaskStoreReader(DataSourceReader):
 
     # -- planning ---------------------------------------------------------
     def partitions(self):
-        meta = self._apply_pushed(read_metadata(self.root))
+        meta = read_metadata(self.root)
+        if self.target_ids is not None:
+            meta = meta[meta["mask_id"].isin(self.target_ids)]
         n = len(meta)
         if n == 0:
             return [MaskPartition((), (), (), (), 0, 0)]

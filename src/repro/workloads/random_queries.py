@@ -24,6 +24,7 @@ import numpy as np
 from repro.core.cp import OBJECT_ROI, CPTerm
 from repro.core.executor import GT, FilterPredicate
 from repro.masks.synth import DatasetSpec
+from repro.workloads.queries import K
 
 VALUE_GRID = [round(0.1 * i, 1) for i in range(1, 10)]  # 0.1 .. 0.9
 
@@ -106,31 +107,27 @@ def random_filter_queries(
     return out
 
 
-def random_topk_queries(
-    spec: DatasetSpec, n: int, seed: int = 0, k: int = 25
-) -> list[RandomTopKQuery]:
+def random_topk_queries(spec: DatasetSpec, n: int, seed: int = 0) -> list[RandomTopKQuery]:
     g = np.random.default_rng([seed, 202])
     out = []
     for _ in range(n):
         lv, uv = _rand_range(g)
         out.append(
             RandomTopKQuery(
-                _rand_rect(g, spec.width, spec.height), lv, uv, k, bool(g.integers(0, 2))
+                _rand_rect(g, spec.width, spec.height), lv, uv, K, bool(g.integers(0, 2))
             )
         )
     return out
 
 
-def random_agg_queries(
-    spec: DatasetSpec, n: int, seed: int = 0, k: int = 25
-) -> list[RandomAggQuery]:
+def random_agg_queries(spec: DatasetSpec, n: int, seed: int = 0) -> list[RandomAggQuery]:
     g = np.random.default_rng([seed, 303])
     out = []
     for _ in range(n):
         lv, uv = _rand_range(g)
         out.append(
             RandomAggQuery(
-                _rand_rect(g, spec.width, spec.height), lv, uv, k, bool(g.integers(0, 2))
+                _rand_rect(g, spec.width, spec.height), lv, uv, K, bool(g.integers(0, 2))
             )
         )
     return out

@@ -161,13 +161,6 @@ class TestChiIndexStructure:
         with pytest.raises(KeyError):
             ChiIndex(ChiConfig(2, 2, 2)).gather(np.array([1]))
 
-    def test_nbytes_excludes_padding(self):
-        cfg = ChiConfig(2, 2, 2)
-        idx = ChiIndex(cfg)
-        idx.add(np.array([1]), build_chi_array(FIG4, cfg)[None])
-        # 3x3 cells x 2 bins x 4 bytes
-        assert idx.nbytes() == 4 * 9 * 2
-
     @pytest.mark.parametrize("ids", [[1, 2], [-1]], ids=["count_mismatch", "negative_id"])
     def test_add_rejects_bad_ids(self, ids):
         """Ids address tensor rows: one CHI must not be broadcast onto
@@ -239,7 +232,9 @@ class TestDistributedBuild:
         per_mask = tiny_cfg.index_bytes_per_mask(
             tiny_store.spec.width, tiny_store.spec.height
         )
-        assert tiny_index.nbytes() == per_mask * tiny_store.n_masks()
+        ny1, nx1, b = tiny_index.row_shape
+        assert per_mask == 4 * (ny1 - 1) * (nx1 - 1) * b
+        assert len(tiny_index) == tiny_store.n_masks()
 
 
 class TestDriverSideIO:

@@ -3,7 +3,7 @@ filter pushdown (the verification-stage scan path)."""
 import numpy as np
 import pytest
 from pyspark.sql import functions as F
-from pyspark.sql.datasource import EqualTo, GreaterThan, In, LessThanOrEqual, StringContains
+from pyspark.sql.datasource import EqualTo, In, StringContains
 
 from repro.maskstore import datasource as ds
 from repro.maskstore.store import MaskStore, read_metadata
@@ -38,6 +38,18 @@ class TestScan:
         )
         assert sorted(r.mask_id for r in rows) == ids
 
+    @pytest.mark.parametrize(
+        "pred, n",
+        [(lambda c: c.isin([0, 5, 9]), 3), (lambda c: c == 7, 1)],
+        ids=["isin", "equal"],
+    )
+    def test_catalyst_pushes_mask_id_filter(self, spark, tiny_store, pred, n):
+        """Catalyst hands ``isin`` and ``==`` on ``mask_id`` to the reader:
+        only the selected masks are planned. Without pushdown the scan
+        would plan one partition per core."""
+        df = ds.scan(spark, tiny_store).where(pred(F.col("mask_id")))
+        assert df.rdd.getNumPartitions() == n
+
     def test_model_filter(self, spark, tiny_store):
         n = ds.scan(spark, tiny_store).where(F.col("model_id") == 1).count()
         assert n == tiny_store.spec.n_images
@@ -66,25 +78,12 @@ class TestPushdown:
         parts = r.partitions()
         assert sum(len(p.mask_ids) for p in parts) == 3
 
-    def test_equalto_model(self, tiny_store):
-        r = self._reader(tiny_store)
-        rest = list(r.pushFilters([EqualTo(("model_id",), 2)]))
-        assert rest == []
-        assert sum(len(p.mask_ids) for p in r.partitions()) == tiny_store.spec.n_images
-
-    def test_range_filters(self, tiny_store):
-        r = self._reader(tiny_store)
-        rest = list(
-            r.pushFilters([GreaterThan(("mask_id",), 9), LessThanOrEqual(("mask_id",), 20)])
-        )
-        assert rest == []
-        assert sum(len(p.mask_ids) for p in r.partitions()) == 11
-
     def test_unsupported_filter_returned(self, tiny_store):
         r = self._reader(tiny_store)
         unsupported = StringContains(("path",), "foo")
-        rest = list(r.pushFilters([unsupported, EqualTo(("model_id",), 1)]))
-        assert rest == [unsupported]
+        model = EqualTo(("model_id",), 1)
+        rest = list(r.pushFilters([unsupported, model]))
+        assert rest == [unsupported, model]
 
     def test_unsupported_column_returned(self, tiny_store):
         r = self._reader(tiny_store)
@@ -92,12 +91,15 @@ class TestPushdown:
         assert list(r.pushFilters([f])) == [f]
 
     def test_conjunction_of_filters(self, tiny_store):
+        """Pushed ``mask_id`` filters and the ``maskids`` option narrow
+        one target set: the planned masks are their intersection."""
         r = self._reader(tiny_store)
-        list(r.pushFilters([In(("mask_id",), tuple(range(10))), EqualTo(("model_id",), 1)]))
-        ids = [m for p in r.partitions() for m in p.mask_ids]
-        meta = read_metadata(tiny_store.root)
-        expect = meta[(meta["mask_id"] < 10) & (meta["model_id"] == 1)]["mask_id"]
-        assert sorted(ids) == sorted(int(v) for v in expect)
+        rest = list(r.pushFilters([In(("mask_id",), tuple(range(10))), EqualTo(("mask_id",), 7)]))
+        assert rest == []
+        assert [m for p in r.partitions() for m in p.mask_ids] == [7]
+        r = self._reader(tiny_store, maskids="3,5,8")
+        assert list(r.pushFilters([In(("mask_id",), (5, 8, 9))])) == []
+        assert sorted(m for p in r.partitions() for m in p.mask_ids) == [5, 8]
 
     def test_empty_selection_single_empty_partition(self, tiny_store):
         r = self._reader(tiny_store)

@@ -13,8 +13,10 @@ def coarse_engine(spark, tiny_store, tiny_coarse_index):
     return MaskSearchEngine(spark, tiny_store, tiny_coarse_index)
 
 
-def test_coarse_index_is_smaller(tiny_index, tiny_coarse_index):
-    assert tiny_coarse_index.nbytes() < tiny_index.nbytes()
+def test_coarse_index_is_smaller(tiny_store, tiny_index, tiny_coarse_index):
+    w, h = tiny_store.spec.width, tiny_store.spec.height
+    coarse = tiny_coarse_index.cfg.index_bytes_per_mask(w, h)
+    assert coarse < tiny_index.cfg.index_bytes_per_mask(w, h)
 
 
 def test_finer_index_tighter_bounds_on_average(engine, coarse_engine):

@@ -43,7 +43,7 @@ paper's claim.
 Every result records :class:`QueryStats` whose ``masks_loaded`` is the
 paper's Table 2 metric: the number of masks read from disk during
 execution, counted from the verification scans' output (one row per
-opened mask; Q5 rows carry the masks opened per image).
+opened mask).
 """
 from __future__ import annotations
 
@@ -440,6 +440,7 @@ class MaskSearchEngine:
 
         def _exact(sub: pd.DataFrame) -> tuple[pd.DataFrame, int]:
             pdf = verify.exact_maskagg_pdf(self.spark, self.store, sub, t, term)
-            return pdf[["image_id", "val"]], int(pdf["n"].sum())
+            agg = pdf.groupby("image_id", sort=True)["cp_0"].first().rename("val").reset_index()
+            return agg, len(pdf)
 
         return self._rank(meta, "image_id", ent, k, descending, _exact)

@@ -4,11 +4,12 @@ MaskSearch and for the full-scan baseline (the engine without an index).
 Each is one ``maskstore`` scan in verification mode
 (:class:`~repro.maskstore.datasource.VerifySpec`, JSON in a reader
 option) collected with ``toPandas``: the reader opens exactly the
-targeted mask files and computes exact CP, the CHI of first-touch masks
-and Q5's per-image intersection inside ``read()``. A verification task
-therefore runs one Python stage, and a round is one Spark job with no
-shuffle, Q5 included. The *only* difference between MaskSearch and the
-baseline is which ``mask_id`` set reaches these functions.
+targeted mask files and returns one row per opened mask with its exact
+CP (for Q5, of its image's intersection) and, for first-touch masks, its
+CHI, computed inside ``read()``. A verification task therefore runs one
+Python stage, and a round is one Spark job with no shuffle, Q5 included.
+The *only* difference between MaskSearch and the baseline is which
+``mask_id`` set reaches these functions.
 """
 from __future__ import annotations
 
@@ -67,8 +68,9 @@ def exact_maskagg_pdf(
 ) -> pd.DataFrame:
     """Exact per-image ``CP(INTERSECT(masks >= t), roi, (lv, uv))``; each
     image's masks in ``meta`` are intersected inside the reader. Returns
-    ``image_id, val, n``, ``n`` being the masks opened for the image."""
-    return _run(spark, store, meta, datasource.VerifySpec((term,), t=t))
+    ``mask_id, image_id, cp_0``, one row per mask, ``cp_0`` being its
+    image's value."""
+    return _run(spark, store, meta, datasource.VerifySpec((term,), t=t)).drop(columns=["h"])
 
 
 def exact_cp_and_chi(

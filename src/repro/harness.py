@@ -21,10 +21,9 @@ import pandas as pd
 from pyspark.sql import SparkSession
 
 from repro.core import verify
-from repro.core.bounds import cp_bounds_batch
 from repro.core.chi import ChiConfig, ChiIndex, build_index
 from repro.core.executor import MaskSearchEngine
-from repro.core.cp import CPTerm
+from repro.core.cp import OBJECT_ROI, CPTerm
 from repro.masks.synth import IMAGENET_LITE, TINY, WILDS_LITE, DatasetSpec
 from repro.maskstore.store import MaskStore, build_store
 from repro.workloads import multi_query, random_queries
@@ -334,13 +333,12 @@ def run_bound_tightness(spark: SparkSession, dataset: str) -> pd.DataFrame:
     sample = meta.sample(min(BOUND_SAMPLE, len(meta)), random_state=int(g.integers(1 << 30)))
     rows = []
     for cfg, size_name in ((cfg_fine, "fine"), (cfg_coarse, "coarse")):
-        path = ensure_index(spark, store, cfg)
-        idx = ChiIndex.load(spark, path, cfg)
-        H = idx.gather(sample["mask_id"].to_numpy(np.int64))
-        rois = CPTerm(0.0, 1.0, "object").rois(sample, spec.width, spec.height)
+        idx = ChiIndex.load(spark, ensure_index(spark, store, cfg), cfg)
+        engine = MaskSearchEngine(spark, store, idx)
+        rois = CPTerm(0.0, 1.0, OBJECT_ROI).rois(sample, spec.width, spec.height)
         areas = ((rois[:, 2] - rois[:, 0]) * (rois[:, 3] - rois[:, 1])).astype(float)
         for lv, uv in ((0.6, 1.0), (0.8, 1.0)):
-            lb, ub = cp_bounds_batch(H, rois, lv, uv, cfg)
+            lb, ub = engine.bounds(sample, CPTerm(lv, uv, OBJECT_ROI))
             width = (ub - lb) / np.maximum(areas, 1)
             row = {
                 "dataset": dataset,

@@ -27,15 +27,16 @@ A plain read produces :data:`SCHEMA`: the mask pixels flattened into an
 ``array<float>`` column (row-major, ``height`` x ``width``). With the
 ``verify`` option, a JSON :class:`VerifySpec`, the reader itself computes
 the verification result inside ``read()``, one ``(n, h, w)`` array per
-chunk of masks, so a verification task runs a single Python stage:
+chunk of masks, so a verification task runs a single Python stage. Every
+verification scan returns one row per opened mask,
+``mask_id, image_id, cp_0..cp_{n-1}, h``: exact CP per term and the
+flattened CHI of the spec's ``chi_ids`` (``[]`` for the others). In Q5
+mode (``t`` set) each term is evaluated on the intersection at ``t`` of
+the targeted masks of the mask's image; partitions and chunks end on
+image boundaries, so there is no shuffle.
 
-- CP mode: ``mask_id, image_id, cp_0..cp_{n-1}, h`` — exact CP per term
-  and the flattened CHI of the spec's ``chi_ids`` (``[]`` for the
-  others); one row per opened mask;
-- Q5 mode (``t`` set): ``image_id, val, n`` — each image's targeted masks
-  are intersected at ``t`` inside the reader (partitions and chunks are
-  split on image boundaries, so there is no shuffle) and ``n`` counts
-  the masks opened for it.
+A partition is a slice of the store's metadata rows: ids, paths and
+ROIs are read from it where the masks are opened.
 
 :func:`scan` builds every scan of the store and registers the source.
 """
@@ -48,6 +49,7 @@ from dataclasses import dataclass
 from typing import Iterator, List
 
 import numpy as np
+import pandas as pd
 import pyarrow as pa
 from pyspark.sql import SparkSession
 from pyspark.sql.datasource import (
@@ -114,7 +116,7 @@ class VerifySpec:
 
     ``terms`` are the CP terms; ``cfg`` and ``chi_ids`` ask for the CHI of
     those masks (MS-II, §3.6); ``t`` selects Q5 mode, where ``terms[0]``
-    is evaluated on each image's intersection at ``t``.
+    is evaluated on each mask's image intersection at ``t``.
     """
 
     terms: tuple[CPTerm, ...]
@@ -165,8 +167,6 @@ class VerifySpec:
             raise ValueError(f"malformed verify spec: {e}") from None
 
     def schema(self) -> StructType:
-        if self.t is not None:
-            return StructType([StructField(c, LongType()) for c in ("image_id", "val", "n")])
         return StructType(
             [StructField("mask_id", LongType()), StructField("image_id", LongType())]
             + [StructField(f"cp_{i}", LongType()) for i in range(len(self.terms))]
@@ -174,20 +174,24 @@ class VerifySpec:
         )
 
 
+def _cuts(image_ids: pd.Series, n_batches: int) -> list[int]:
+    """Row offsets ``[0, ..., len(image_ids)]`` cutting image-major rows
+    into at most ``n_batches`` near-equal batches, each moved forward to
+    end on an image boundary, so an image's masks are opened (and, in Q5
+    mode, intersected) in one batch. Without rows this is one empty batch,
+    or none if ``n_batches`` is 0."""
+    img = image_ids.to_numpy()
+    ends = np.r_[np.flatnonzero(img[1:] != img[:-1]) + 1, len(img)]
+    want = np.linspace(0, len(img), n_batches + 1)[1:]
+    return [0, *np.unique(ends[np.searchsorted(ends, want)]).tolist()]
+
+
 @dataclass
 class MaskPartition(InputPartition):
-    """One unit of parallel work: a slice of (mask_id, path, ...) rows,
-    plus, in verification mode, each mask's ROI per term
-    ``(terms, n, 4)`` and whether its CHI is wanted."""
+    """One unit of parallel work: a slice of the store's metadata rows,
+    image-major and ending on an image boundary."""
 
-    mask_ids: tuple
-    image_ids: tuple
-    model_ids: tuple
-    paths: tuple
-    height: int
-    width: int
-    rois: np.ndarray | None = None
-    chi: np.ndarray | None = None
+    rows: pd.DataFrame
 
 
 class MaskStoreReader(DataSourceReader):
@@ -247,117 +251,56 @@ class MaskStoreReader(DataSourceReader):
             else:
                 yield f
 
-    def _cuts(self, image_ids, cuts) -> list[int]:
-        """Row offsets splitting a slice into batches. In Q5 mode each is
-        moved forward to an image boundary, so an image's masks are
-        intersected in one batch."""
-        if self.spec is None or self.spec.t is None:
-            return list(cuts)
-        img = np.asarray(image_ids)
-        edges = np.r_[0, np.flatnonzero(img[1:] != img[:-1]) + 1, len(img)]
-        return edges[np.searchsorted(edges, cuts)].tolist()
-
     # -- planning ---------------------------------------------------------
     def partitions(self):
         meta = read_metadata(self.root)
         if self.target_ids is not None:
             meta = meta[meta["mask_id"].isin(self.target_ids)]
-        n = len(meta)
-        if n == 0:
-            return [MaskPartition((), (), (), (), 0, 0)]
-        spec = self.spec
-        if spec is not None and spec.t is not None:
-            meta = meta.sort_values("image_id", kind="stable")
-        height = int(meta["height"].iat[0])
-        width = int(meta["width"].iat[0])
-        k = max(1, min(self.n_partitions, n))
-        parts = []
-        bounds = self._cuts(meta["image_id"], [round(i * n / k) for i in range(k + 1)])
-        for lo, hi in zip(bounds, bounds[1:]):
-            if lo == hi:
-                continue
-            sl = meta.iloc[lo:hi]
-            rois = chi = None
-            if spec is not None:
-                rois = np.array([c.rois(sl, width, height) for c in spec.terms], dtype=np.int64)
-                rois = rois.reshape(len(spec.terms), hi - lo, 4)
-                chi = sl["mask_id"].isin(spec.chi_ids).to_numpy()
-            parts.append(
-                MaskPartition(
-                    tuple(int(v) for v in sl["mask_id"]),
-                    tuple(int(v) for v in sl["image_id"]),
-                    tuple(int(v) for v in sl["model_id"]),
-                    tuple(sl["path"]),
-                    height,
-                    width,
-                    rois,
-                    chi,
-                )
-            )
-        return parts
+        # Mask ids are image-major, so this keeps their order.
+        meta = meta.sort_values("image_id", kind="stable")
+        cuts = _cuts(meta["image_id"], max(1, min(self.n_partitions, len(meta))))
+        return [MaskPartition(meta.iloc[lo:hi]) for lo, hi in zip(cuts, cuts[1:])]
 
     # -- execution (runs on workers) ---------------------------------------
     def read(self, partition: MaskPartition):
-        if not partition.mask_ids:
-            return
+        rows = partition.rows
         delay_s = self.io_delay_ms / 1000.0
-        n = len(partition.mask_ids)
-        cuts = self._cuts(partition.image_ids, [*range(0, n, CHUNK), n])
+        cuts = _cuts(rows["image_id"], -(-len(rows) // CHUNK))
         for lo, hi in zip(cuts, cuts[1:]):
-            if lo == hi:
-                continue
+            chunk = rows.iloc[lo:hi]
             if delay_s:
-                time.sleep(delay_s * (hi - lo))
-            masks = [np.load(p) for p in partition.paths[lo:hi]]
-            if self.spec is None:
-                yield self._values_rows(partition, lo, hi, masks)
-                continue
-            kernel = self._cp_rows if self.spec.t is None else self._q5_rows
-            yield kernel(partition, lo, hi, np.stack(masks).astype(np.float32, copy=False))
+                time.sleep(delay_s * len(chunk))
+            masks = np.stack([np.load(p) for p in chunk["path"]]).astype(np.float32, copy=False)
+            yield (self._values_rows if self.spec is None else self._cp_rows)(chunk, masks)
 
-    def _values_rows(self, part: MaskPartition, lo: int, hi: int, masks) -> pa.RecordBatch:
-        values = [m.ravel().astype(np.float32) for m in masks]
-        return pa.RecordBatch.from_arrays(
-            [
-                pa.array(part.mask_ids[lo:hi], type=pa.int64()),
-                pa.array(part.image_ids[lo:hi], type=pa.int64()),
-                pa.array(part.model_ids[lo:hi], type=pa.int32()),
-                pa.array([part.height] * (hi - lo), type=pa.int32()),
-                pa.array([part.width] * (hi - lo), type=pa.int32()),
-                pa.array(values, type=pa.list_(pa.float32())),
-            ],
-            names=[f.name for f in SCHEMA.fields],
-        )
+    @staticmethod
+    def _values_rows(rows: pd.DataFrame, masks: np.ndarray) -> pa.RecordBatch:
+        n, h, w = masks.shape
+        offsets = pa.array(np.arange(n + 1, dtype=np.int32) * (h * w))
+        values = pa.ListArray.from_arrays(offsets, pa.array(masks.ravel()))
+        names = SCHEMA.fieldNames()
+        return pa.RecordBatch.from_arrays([*(pa.array(rows[c]) for c in names[:-1]), values], names)
 
-    def _cp_rows(self, part: MaskPartition, lo: int, hi: int, masks: np.ndarray) -> pa.RecordBatch:
+    def _cp_rows(self, rows: pd.DataFrame, masks: np.ndarray) -> pa.RecordBatch:
         spec = self.spec
-        cols = [
-            pa.array(part.mask_ids[lo:hi], type=pa.int64()),
-            pa.array(part.image_ids[lo:hi], type=pa.int64()),
-        ]
-        for i, term in enumerate(spec.terms):
-            cols.append(pa.array(cp_batch(masks, part.rois[i, lo:hi], term.lv, term.uv)))
-        want = part.chi[lo:hi]
+        if spec.t is not None:
+            _, starts, n = np.unique(rows["image_id"], return_index=True, return_counts=True)
+            inter = [intersect_threshold(list(g), spec.t) for g in np.split(masks, starts[1:])]
+            counted = np.repeat(np.stack(inter), n, axis=0)
+        else:
+            counted = masks
+        w, h = int(rows["width"].iat[0]), int(rows["height"].iat[0])
+        cols = [pa.array(rows["mask_id"]), pa.array(rows["image_id"])]
+        for term in spec.terms:
+            cols.append(pa.array(cp_batch(counted, term.rois(rows, w, h), term.lv, term.uv)))
+        # The CHI is of the opened mask, never of an intersection.
+        want = rows["mask_id"].isin(spec.chi_ids).to_numpy()
         H = [build_chi_array(m, spec.cfg).ravel() for m in masks[want]]
-        offsets = np.zeros(hi - lo + 1, dtype=np.int32)
+        offsets = np.zeros(len(rows) + 1, dtype=np.int32)
         offsets[1:] = np.cumsum(want * (H[0].size if H else 0))
         flat = np.concatenate(H) if H else np.zeros(0, dtype=np.int64)
         cols.append(pa.ListArray.from_arrays(pa.array(offsets), pa.array(flat, type=pa.int64())))
         return pa.RecordBatch.from_arrays(cols, names=spec.schema().fieldNames())
-
-    def _q5_rows(self, part: MaskPartition, lo: int, hi: int, masks: np.ndarray) -> pa.RecordBatch:
-        term = self.spec.terms[0]
-        img = np.asarray(part.image_ids[lo:hi], dtype=np.int64)
-        starts = np.flatnonzero(np.r_[True, img[1:] != img[:-1]])
-        inter = np.stack(
-            [intersect_threshold(list(g), self.spec.t) for g in np.split(masks, starts[1:])]
-        )
-        val = cp_batch(inter, part.rois[0, lo:hi][starts], term.lv, term.uv)
-        n = np.diff(np.r_[starts, hi - lo])
-        return pa.RecordBatch.from_arrays(
-            [pa.array(img[starts]), pa.array(val), pa.array(n, type=pa.int64())],
-            names=["image_id", "val", "n"],
-        )
 
 
 class MaskStoreDataSource(DataSource):

@@ -67,18 +67,11 @@ class MaskStore:
 
     # -- paths ------------------------------------------------------------
     @property
-    def masks_dir(self) -> str:
-        return os.path.join(self.root, "masks")
-
-    @property
     def metadata_path(self) -> str:
         return os.path.join(self.root, "metadata")
 
     def index_path(self, cfg) -> str:
         return os.path.join(self.root, cfg.tag())
-
-    def mask_path(self, mask_id: int) -> str:
-        return os.path.join(self.masks_dir, f"{int(mask_id)}.npy")
 
     # -- access -----------------------------------------------------------
     def n_masks(self) -> int:
@@ -90,9 +83,6 @@ class MaskStore:
         if self._meta_pdf is None:
             self._meta_pdf = read_metadata(self.root)
         return self._meta_pdf
-
-    def load_mask(self, mask_id: int) -> np.ndarray:
-        return np.load(self.mask_path(mask_id))
 
     def raw_bytes(self) -> int:
         """Uncompressed dataset size: 4 B per pixel (float32)."""

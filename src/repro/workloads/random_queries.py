@@ -49,13 +49,12 @@ class RandomTopKQuery:
     roi: tuple[int, int, int, int]
     lv: float
     uv: float
-    k: int
     descending: bool
 
     def run(self, ex, mask_ids=None, model_id=None):
         return ex.topk(
             CPTerm(self.lv, self.uv, self.roi),
-            k=self.k,
+            k=K,
             descending=self.descending,
             model_id=model_id,
             mask_ids=mask_ids,
@@ -67,13 +66,12 @@ class RandomAggQuery:
     roi: tuple[int, int, int, int]
     lv: float
     uv: float
-    k: int
     descending: bool
 
     def run(self, ex, image_ids=None, model_ids=(1, 2)):
         return ex.agg_topk(
             CPTerm(self.lv, self.uv, self.roi),
-            k=self.k,
+            k=K,
             descending=self.descending,
             model_ids=model_ids,
             image_ids=image_ids,
@@ -113,9 +111,7 @@ def random_topk_queries(spec: DatasetSpec, n: int, seed: int = 0) -> list[Random
     for _ in range(n):
         lv, uv = _rand_range(g)
         out.append(
-            RandomTopKQuery(
-                _rand_rect(g, spec.width, spec.height), lv, uv, K, bool(g.integers(0, 2))
-            )
+            RandomTopKQuery(_rand_rect(g, spec.width, spec.height), lv, uv, bool(g.integers(0, 2)))
         )
     return out
 
@@ -126,8 +122,6 @@ def random_agg_queries(spec: DatasetSpec, n: int, seed: int = 0) -> list[RandomA
     for _ in range(n):
         lv, uv = _rand_range(g)
         out.append(
-            RandomAggQuery(
-                _rand_rect(g, spec.width, spec.height), lv, uv, K, bool(g.integers(0, 2))
-            )
+            RandomAggQuery(_rand_rect(g, spec.width, spec.height), lv, uv, bool(g.integers(0, 2)))
         )
     return out

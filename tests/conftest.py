@@ -66,5 +66,5 @@ def tiny_meta(spark, tiny_store):
 
 
 @pytest.fixture(scope="session")
-def pixels(tiny_store, tiny_meta):
-    return testing.pixels_table(tiny_store, tiny_meta)
+def pixels(tiny_meta):
+    return testing.pixels_table(tiny_meta)

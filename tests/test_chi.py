@@ -15,6 +15,8 @@ from repro.core.executor import MaskSearchEngine
 from repro.core.incremental import IncrementalSession
 from repro.maskstore.store import MaskStore
 
+from . import testing
+
 # The paper's Figure 4 example mask M (6x6), rows top to bottom.
 FIG4 = np.array(
     [
@@ -184,7 +186,7 @@ class TestDistributedBuild:
     def test_index_matches_local_build(self, spark, tiny_store, tiny_index, tiny_cfg):
         """Spark-built index rows equal per-mask local construction."""
         for mid in range(tiny_store.n_masks()):
-            H_local = build_chi_array(tiny_store.load_mask(mid), tiny_cfg)
+            H_local = build_chi_array(testing.load_mask(tiny_store, mid), tiny_cfg)
             assert np.array_equal(tiny_index.gather(np.array([mid]))[0], H_local)
 
     def test_index_covers_all_masks(self, tiny_store, tiny_index):
@@ -265,7 +267,7 @@ class TestDriverSideIO:
         shutil.copytree(tiny_index_path, path)
         session = IncrementalSession(spark, tiny_store, tiny_cfg)
         ids = np.arange(12)
-        H = np.stack([build_chi_array(tiny_store.load_mask(m), tiny_cfg) for m in ids])
+        H = np.stack([build_chi_array(testing.load_mask(tiny_store, m), tiny_cfg) for m in ids])
         session.index.add(ids, H)
         assert session.persist(path) == path
         assert len(glob.glob(os.path.join(path, "*.parquet"))) == 1

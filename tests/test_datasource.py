@@ -8,6 +8,8 @@ from pyspark.sql.datasource import EqualTo, In, StringContains
 from repro.maskstore import datasource as ds
 from repro.maskstore.store import MaskStore, read_metadata
 
+from . import testing
+
 
 class TestScan:
     def test_count_all(self, spark, tiny_store):
@@ -26,7 +28,7 @@ class TestScan:
             .collect()[0]
         )
         got = np.array(row.values, dtype=np.float32).reshape(row.height, row.width)
-        assert np.array_equal(got, tiny_store.load_mask(7))
+        assert np.array_equal(got, testing.load_mask(tiny_store, 7))
 
     def test_isin_filter(self, spark, tiny_store):
         ids = [0, 5, 9, 44]
@@ -76,7 +78,7 @@ class TestPushdown:
         rest = list(r.pushFilters([In(("mask_id",), (1, 2, 3))]))
         assert rest == []
         parts = r.partitions()
-        assert sum(len(p.mask_ids) for p in parts) == 3
+        assert sum(len(p.rows["mask_id"]) for p in parts) == 3
 
     def test_unsupported_filter_returned(self, tiny_store):
         r = self._reader(tiny_store)
@@ -96,32 +98,32 @@ class TestPushdown:
         r = self._reader(tiny_store)
         rest = list(r.pushFilters([In(("mask_id",), tuple(range(10))), EqualTo(("mask_id",), 7)]))
         assert rest == []
-        assert [m for p in r.partitions() for m in p.mask_ids] == [7]
+        assert [m for p in r.partitions() for m in p.rows["mask_id"]] == [7]
         r = self._reader(tiny_store, maskids="3,5,8")
         assert list(r.pushFilters([In(("mask_id",), (5, 8, 9))])) == []
-        assert sorted(m for p in r.partitions() for m in p.mask_ids) == [5, 8]
+        assert sorted(m for p in r.partitions() for m in p.rows["mask_id"]) == [5, 8]
 
     def test_empty_selection_single_empty_partition(self, tiny_store):
         r = self._reader(tiny_store)
         list(r.pushFilters([EqualTo(("mask_id",), -1)]))
         parts = r.partitions()
-        assert len(parts) == 1 and parts[0].mask_ids == ()
+        assert len(parts) == 1 and parts[0].rows.empty
 
     def test_numpartitions_option(self, tiny_store):
         r = self._reader(tiny_store, numpartitions="4")
         parts = r.partitions()
         assert len(parts) == 4
-        assert sum(len(p.mask_ids) for p in parts) == tiny_store.n_masks()
+        assert sum(len(p.rows["mask_id"]) for p in parts) == tiny_store.n_masks()
 
     def test_partitions_cover_each_mask_once(self, tiny_store):
         r = self._reader(tiny_store)
-        ids = [m for p in r.partitions() for m in p.mask_ids]
+        ids = [m for p in r.partitions() for m in p.rows["mask_id"]]
         assert sorted(ids) == list(range(tiny_store.n_masks()))
 
     def test_maskids_option_prunes(self, tiny_store):
         """The large-candidate-set path: ids via option, not Catalyst."""
         r = self._reader(tiny_store, maskids="3,5,8")
-        ids = [m for p in r.partitions() for m in p.mask_ids]
+        ids = [m for p in r.partitions() for m in p.rows["mask_id"]]
         assert sorted(ids) == [3, 5, 8]
 
     def test_maskids_option_through_spark(self, spark, tiny_store, tiny_meta):

@@ -77,7 +77,7 @@ def test_mean_values_are_exact(spark, engine, tiny_store, tiny_meta):
     r = engine.agg_topk(term, k=4, descending=True, model_ids=(1, 2))
     for row in r.pdf.itertuples():
         masks = tiny_meta[tiny_meta["image_id"] == int(row.image_id)]["mask_id"]
-        vals = [cp(tiny_store.load_mask(int(m)), CONST_ROI, 0.7, 1.0) for m in masks]
+        vals = [cp(testing.load_mask(tiny_store, int(m)), CONST_ROI, 0.7, 1.0) for m in masks]
         assert row.val == pytest.approx(sum(vals) / len(vals))
 
 

@@ -53,7 +53,7 @@ def test_values_are_exact_intersections(spark, engine, tiny_store, tiny_meta):
     r = engine.maskagg_topk(t=t, roi=CONST_ROI, k=5, descending=True, model_ids=(1, 2))
     for row in r.pdf.itertuples():
         masks = [
-            tiny_store.load_mask(int(m))
+            testing.load_mask(tiny_store, int(m))
             for m in tiny_meta[tiny_meta["image_id"] == int(row.image_id)]["mask_id"]
         ]
         agg = intersect_threshold(masks, t)
@@ -67,7 +67,7 @@ def test_upper_bound_is_min_of_individual_counts(spark, engine, tiny_store, tiny
     r = engine.maskagg_topk(t=t, roi=CONST_ROI, k=60, descending=True, model_ids=(1, 2))
     for row in r.pdf.itertuples():
         counts = [
-            cp(tiny_store.load_mask(int(m)), CONST_ROI, t, 1.0)
+            cp(testing.load_mask(tiny_store, int(m)), CONST_ROI, t, 1.0)
             for m in tiny_meta[tiny_meta["image_id"] == int(row.image_id)]["mask_id"]
         ]
         assert int(row.val) <= min(counts)

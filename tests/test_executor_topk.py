@@ -96,7 +96,7 @@ def test_result_values_are_exact(spark, engine, tiny_store):
     term = CPTerm(0.7, 1.0, CONST_ROI)
     r = engine.topk(term, k=5, descending=True, model_id=1)
     for row in r.pdf.itertuples():
-        m = tiny_store.load_mask(int(row.mask_id))
+        m = testing.load_mask(tiny_store, int(row.mask_id))
         assert int(row.val) == cp(m, CONST_ROI, 0.7, 1.0)
 
 
@@ -114,5 +114,5 @@ def test_pruned_masks_cannot_beat_result(spark, engine, tiny_store):
     meta = engine.target(model_id=1)
     for mid in meta["mask_id"]:
         if int(mid) not in in_result:
-            exact = cp(tiny_store.load_mask(int(mid)), CONST_ROI, 0.8, 1.0)
+            exact = cp(testing.load_mask(tiny_store, int(mid)), CONST_ROI, 0.8, 1.0)
             assert exact < kth or (exact == kth and int(mid) > max(tie_ids))

@@ -1,6 +1,6 @@
 """Fused verification scan: the ``maskstore`` reader computes CP, CHI and
-Q5's per-image intersection in one Python stage per task, and
-``masks_loaded`` is counted from what it returns."""
+Q5's per-image intersection in one Python stage per task, returns one
+row per opened mask, and ``masks_loaded`` is counted from those rows."""
 import pickle
 
 import numpy as np
@@ -15,6 +15,8 @@ from repro.core.chi import ChiConfig, build_chi_array
 from repro.core.cp import OBJECT_ROI, CPTerm, cp, cp_batch, intersect_threshold
 from repro.core.executor import GT, FilterPredicate
 from repro.maskstore import datasource as ds
+
+from . import testing
 
 CONST_ROI = (5, 5, 20, 20)
 Q5_TERM = CPTerm(0.7, 1.0, OBJECT_ROI)
@@ -71,23 +73,25 @@ def test_cp_mode_matches_driver_kernels(spark, tiny_store, tiny_meta, tiny_cfg):
     assert sorted(ids) == sorted(chi_ids)
     rows = meta.set_index("mask_id")
     for r in pdf.itertuples(index=False):
-        m = tiny_store.load_mask(r.mask_id)
+        m = testing.load_mask(tiny_store, r.mask_id)
         box = tuple(rows.loc[r.mask_id, ["obj_x1", "obj_y1", "obj_x2", "obj_y2"]])
         for i, term in enumerate(terms):
             assert getattr(r, f"cp_{i}") == cp(m, term.resolve_roi(32, 32, box), term.lv, term.uv)
     for mid, h in zip(ids, H):
-        assert np.array_equal(h, build_chi_array(tiny_store.load_mask(mid), tiny_cfg))
+        assert np.array_equal(h, build_chi_array(testing.load_mask(tiny_store, mid), tiny_cfg))
 
 
 def test_q5_mode_intersects_each_image(spark, tiny_store, tiny_meta):
-    meta = tiny_meta[tiny_meta["image_id"] < 25]
+    """One row per targeted mask, whose ``cp_0`` is its image's
+    intersection CP."""
+    meta = tiny_meta[tiny_meta["image_id"] < 25].iloc[1:]  # image 0 keeps one mask
     out = verify.exact_maskagg_pdf(spark, tiny_store, meta, 0.7, Q5_TERM)
-    assert sorted(out["image_id"]) == list(range(25))
+    assert sorted(out["mask_id"]) == sorted(meta["mask_id"])
     for r in out.itertuples(index=False):
         sub = meta[meta["image_id"] == r.image_id]
         box = tuple(sub[["obj_x1", "obj_y1", "obj_x2", "obj_y2"]].iloc[0])
-        m = intersect_threshold([tiny_store.load_mask(i) for i in sub["mask_id"]], 0.7)
-        assert (r.val, r.n) == (cp(m, box, 0.7, 1.0), len(sub))
+        m = intersect_threshold([testing.load_mask(tiny_store, i) for i in sub["mask_id"]], 0.7)
+        assert r.cp_0 == cp(m, box, 0.7, 1.0)
 
 
 @pytest.mark.parametrize("n_partitions", [1, 3, 7, 64])
@@ -98,14 +102,14 @@ def test_q5_partitions_and_chunks_split_on_images(tiny_store, monkeypatch, n_par
         {"path": tiny_store.root, "numpartitions": str(n_partitions), "verify": spec.to_json()}
     )
     parts = reader.partitions()
-    owner = {}
-    for i, p in enumerate(parts):
-        for img in p.image_ids:
-            assert owner.setdefault(img, i) == i
-    rows = [b for p in parts for b in reader.read(p)]
-    images = [v for b in rows for v in b.column("image_id").to_pylist()]
-    assert sorted(images) == list(range(tiny_store.spec.n_images))
-    assert sum(v for b in rows for v in b.column("n").to_pylist()) == tiny_store.n_masks()
+    chunks = [b.column("image_id").to_pylist() for p in parts for b in reader.read(p)]
+    for batches in ([p.rows["image_id"].tolist() for p in parts], chunks):
+        owner = {}
+        for i, images in enumerate(batches):
+            for img in images:
+                assert owner.setdefault(img, i) == i
+        assert sorted(owner) == list(range(tiny_store.spec.n_images))
+        assert sum(map(len, batches)) == tiny_store.n_masks()
 
 
 # -- plan shape: one Python stage, no shuffle, one job per round ---------------
@@ -128,18 +132,22 @@ ENTRY_POINTS = {
 def test_verification_plan_has_one_python_stage_and_no_shuffle(
     spark, tiny_store, tiny_meta, tiny_cfg, monkeypatch, entry
 ):
-    plans = []
+    """Every entry point also collects one row per targeted mask."""
+    plans, collected = [], []
     real = DataFrame.toPandas
 
     def recorded(self, *a, **kw):
         out = real(self, *a, **kw)
         plans.append(self._jdf.queryExecution().executedPlan().toString())
+        collected.append(out)
         return out
 
     monkeypatch.setattr(DataFrame, "toPandas", recorded)
-    ENTRY_POINTS[entry](spark, tiny_store, tiny_meta.head(40), tiny_cfg)
+    meta = tiny_meta.head(40)
+    ENTRY_POINTS[entry](spark, tiny_store, meta, tiny_cfg)
     assert len(plans) == 1
     assert [op for op in FORBIDDEN if op in plans[0]] == [], plans[0]
+    assert sorted(collected[0]["mask_id"]) == sorted(meta["mask_id"])
 
 
 def test_q5_round_is_one_spark_job(spark, tiny_store, tiny_meta):
@@ -150,7 +158,7 @@ def test_q5_round_is_one_spark_job(spark, tiny_store, tiny_meta):
         out = verify.exact_maskagg_pdf(spark, tiny_store, tiny_meta.head(40), 0.7, Q5_TERM)
     finally:
         sc.setLocalProperty("spark.jobGroup.id", None)
-    assert len(out) == 20
+    assert len(out) == 40
     assert len(list(sc.statusTracker().getJobIdsForGroup(group))) == 1
 
 

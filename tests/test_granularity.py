@@ -7,6 +7,8 @@ from repro.core.cp import OBJECT_ROI, CPTerm
 from repro.core.executor import GT, FilterPredicate, MaskSearchEngine
 from repro.workloads.random_queries import random_filter_queries
 
+from . import testing
+
 
 @pytest.fixture(scope="module")
 def coarse_engine(spark, tiny_store, tiny_coarse_index):
@@ -35,7 +37,7 @@ def test_coarse_bounds_still_sound(coarse_engine, tiny_store):
     lb, ub = coarse_engine.bounds(meta, term)
     for i, r in enumerate(meta.itertuples()):
         exact = cp(
-            tiny_store.load_mask(int(r.mask_id)),
+            testing.load_mask(tiny_store, int(r.mask_id)),
             (r.obj_x1, r.obj_y1, r.obj_x2, r.obj_y2),
             0.6,
             1.0,

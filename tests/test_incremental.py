@@ -9,6 +9,8 @@ from repro.core.cp import OBJECT_ROI, CPTerm
 from repro.core.executor import GT, FilterPredicate, MaskSearchEngine
 from repro.core.incremental import IncrementalSession
 
+from . import testing
+
 CFG = ChiConfig(8, 8, 8)
 PRED_A = FilterPredicate(terms=(CPTerm(0.6, 1.0, (5, 5, 20, 20)),), op=GT, threshold=40)
 PRED_B = FilterPredicate(terms=(CPTerm(0.8, 1.0, OBJECT_ROI),), op=GT, threshold=20)
@@ -83,7 +85,7 @@ def test_partial_overlap_loads_only_new(session):
 def test_incremental_chi_matches_direct_build(session, tiny_store):
     session.filter(PRED_A, mask_ids=[3, 7, 11])
     for mid in [3, 7, 11]:
-        expected = build_chi_array(tiny_store.load_mask(mid), CFG)
+        expected = build_chi_array(testing.load_mask(tiny_store, mid), CFG)
         assert np.array_equal(session.index.gather(np.array([mid]))[0], expected)
 
 

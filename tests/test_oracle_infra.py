@@ -4,6 +4,7 @@ import numpy as np
 import pandas as pd
 import pytest
 
+from . import testing
 from .oracle import assert_equivalent
 
 
@@ -14,7 +15,7 @@ class TestPixelsTable:
 
     def test_values_match_masks(self, pixels, tiny_store):
         sub = pixels[pixels["mask_id"] == 13]
-        m = tiny_store.load_mask(13)
+        m = testing.load_mask(tiny_store, 13)
         got = np.zeros_like(m, dtype=np.float64)
         got[sub["y"], sub["x"]] = sub["v"]
         assert np.array_equal(got, m.astype(np.float64))

@@ -17,25 +17,29 @@ from repro.core.executor import MaskSearchEngine
 from repro.masks.synth import TINY, generate_mask
 from repro.maskstore.store import METADATA_SCHEMA, MaskStore, build_store, read_metadata
 
+from . import testing
+
 
 class TestBuildStore:
     def test_all_mask_files_exist(self, tiny_store):
-        for mid in range(tiny_store.n_masks()):
-            assert os.path.exists(tiny_store.mask_path(mid))
+        paths = read_metadata(tiny_store.root)["path"]
+        assert len(paths) == tiny_store.n_masks()
+        assert all(os.path.exists(p) for p in paths)
 
     def test_mask_contents_match_generator(self, tiny_store):
         spec = tiny_store.spec
         for img, model in [(0, 1), (0, 2), (31, 1), (59, 2)]:
             mid = spec.mask_id(img, model)
             assert np.array_equal(
-                tiny_store.load_mask(mid), generate_mask(spec, img, model)
+                testing.load_mask(tiny_store, mid), generate_mask(spec, img, model)
             )
 
     def test_idempotent_reuse(self, spark, tiny_store):
         """Rebuilding with the same spec reuses the existing store."""
-        mtime = os.path.getmtime(tiny_store.mask_path(0))
-        again = build_store(spark, TINY, tiny_store.root)
-        assert os.path.getmtime(again.mask_path(0)) == mtime
+        path = read_metadata(tiny_store.root)["path"].iat[0]
+        mtime = os.path.getmtime(path)
+        build_store(spark, TINY, tiny_store.root)
+        assert os.path.getmtime(path) == mtime
 
     def test_spec_roundtrip(self, tiny_store):
         st = MaskStore(tiny_store.root)
@@ -87,7 +91,7 @@ class TestBuildStore:
         path = harness.ensure_index(spark, store, tiny_cfg)
         engine = MaskSearchEngine(spark, store, ChiIndex.load(spark, path, tiny_cfg))
         meta = store.metadata_pandas(spark)
-        masks = np.stack([store.load_mask(m) for m in meta["mask_id"]])
+        masks = np.stack([np.load(p) for p in meta["path"]])
         for term in (CPTerm(0.55, 0.95, (3, 5, 27, 30)), CPTerm(0.5, 1.0, "object")):
             exact = cp_batch(masks, term.rois(meta, TINY.width, TINY.height), term.lv, term.uv)
             lb, ub = engine.bounds(meta, term)
@@ -123,7 +127,7 @@ class TestMetadata:
         assert (tiny_meta["obj_y1"] < tiny_meta["obj_y2"]).all()
 
     def test_paths_point_at_masks(self, tiny_meta, tiny_store):
-        assert tiny_meta["path"].iloc[0].startswith(tiny_store.masks_dir)
+        assert tiny_meta["path"].iloc[0].startswith(os.path.join(tiny_store.root, "masks"))
 
     def test_spark_metadata_matches_pandas(self, spark, tiny_store, tiny_meta):
         sdf = spark.read.parquet(tiny_store.metadata_path)
@@ -164,7 +168,8 @@ class TestMarkersAreNotTrusted:
 
     def test_build_store_rebuilds(self, spark, marker_store):
         assert len(marker_store.metadata_pandas(spark)) == TINY.n_masks
-        assert all(os.path.exists(marker_store.mask_path(m)) for m in range(TINY.n_masks))
+        paths = read_metadata(marker_store.root)["path"]
+        assert len(paths) == TINY.n_masks and all(os.path.exists(p) for p in paths)
 
     def test_ensure_index_rebuilds(self, spark, marker_store, tiny_cfg):
         path = marker_store.index_path(tiny_cfg)

@@ -31,7 +31,7 @@ class TestRandomQueries:
             x1, y1, x2, y2 = q.roi
             assert 0 <= x1 < x2 <= TINY.width
             assert 0 <= y1 < y2 <= TINY.height
-            assert q.k == 25
+        assert rq.K == 25  # every random top-k query ranks K masks
 
     def test_topk_both_orders_generated(self):
         qs = rq.random_topk_queries(TINY, 50, seed=3)

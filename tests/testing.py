@@ -15,14 +15,21 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
-from repro.maskstore.store import MaskStore
+from repro.maskstore.store import MaskStore, read_metadata
 
 
-def pixels_table(store: MaskStore, meta: pd.DataFrame) -> pd.DataFrame:
-    """Exploded per-pixel table for every mask in ``meta``."""
+def load_mask(store: MaskStore, mask_id: int) -> np.ndarray:
+    """Mask ``mask_id`` of ``store``, read from the file its metadata row names."""
+    meta = read_metadata(store.root)
+    return np.load(meta.loc[meta["mask_id"] == int(mask_id), "path"].item())
+
+
+def pixels_table(meta: pd.DataFrame) -> pd.DataFrame:
+    """Exploded per-pixel table for every mask in ``meta``, read from its
+    ``path``."""
     frames = []
     for r in meta.itertuples():
-        mask = store.load_mask(int(r.mask_id))
+        mask = np.load(r.path)
         h, w = mask.shape
         ys, xs = np.divmod(np.arange(h * w), w)
         frames.append(

@@ -14,7 +14,7 @@ are all zeros (the paper's implicit ``(0, 0)`` corner) so Eq. (2) is four
 array lookups with no boundary cases.
 
 The distributed build (:func:`build_index`) is the ``maskstore``
-reader's verification scan with every mask in ``chi_ids``: each task
+reader's verification scan of every mask with a ``ChiConfig``: each task
 loads its masks, computes ``H`` with vectorised NumPy, and emits one row
 per mask, which the executors write as Parquet next to the store.
 :class:`ChiIndex` is the paper's "optimized array index structure": one
@@ -128,11 +128,12 @@ def build_index(
     """Build the CHI of every mask in ``store`` and persist it as Parquet.
     Returns the index path.
 
-    The build is one ``maskstore`` scan in verification mode with no CP
-    terms and every mask in ``chi_ids``, so the reader loads each mask
-    once, charges ``store.io_delay_ms`` per mask (the paper's up-front
-    indexing cost, §4.5) and runs one task per core; the executors write
-    its rows straight to Parquet, in ``mask_id`` order within each file.
+    The build is one ``maskstore`` scan of the whole store in
+    verification mode with no CP terms and ``cfg``, so the reader loads
+    each mask once, charges ``store.io_delay_ms`` per mask (the paper's
+    up-front indexing cost, §4.5) and runs one task per core; the
+    executors write its rows straight to Parquet, in ``mask_id`` order
+    within each file.
 
     ``store`` is a :class:`repro.maskstore.store.MaskStore`.
     """
@@ -140,12 +141,10 @@ def build_index(
     from repro.maskstore import datasource
 
     out = out_path or store.index_path(cfg)
-    meta = store.metadata_pandas(spark)
     nx, ny = cfg.grid(store.spec.width, store.spec.height)
-    spec = datasource.VerifySpec((), cfg, frozenset(meta["mask_id"].tolist()))
     dims = {"ny": ny, "nx": nx, "b": cfg.b, "wc": cfg.wc, "hc": cfg.hc}
     (
-        datasource.scan(spark, store, spec=spec)
+        datasource.scan(spark, store, spec=datasource.VerifySpec((), cfg))
         .select("mask_id", *(F.lit(v).alias(k) for k, v in dims.items()), "h")
         .write.mode("overwrite")
         .parquet(out)

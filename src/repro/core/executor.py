@@ -11,12 +11,13 @@ The engine executes the paper's query classes over a
   prunes file reads to the candidate ids and evaluates the exact
   predicate's CP terms inside its reader).
 - **top-k** (§3.5): the paper's sequential running-threshold scan is
-  replaced by the distributed two-phase equivalent (DESIGN.md §4):
-  ``tau`` = k-th best *lower* bound (DESC) / *upper* bound (ASC); every
-  mask whose bound interval can beat ``tau`` is verified.
+  replaced by batched refinement rounds (DESIGN.md §4): each round
+  verifies the unverified masks of highest upper bound and raises
+  ``tau``, the running k-th best value, until no unverified mask's
+  bound interval can reach ``tau``.
 - **scalar aggregation** (§3.4, Q4): per-group (image) bounds are the
-  monotone aggregate (mean) of per-mask bounds; two-phase top-k over
-  groups.
+  monotone aggregate (mean) of per-mask bounds; the same refinement
+  rounds over groups.
 - **mask aggregation** (§3.4, Q5): ``CP(INTERSECT(m_i >= t), roi,
   (t, 1))`` bounded from the *individual* mask CHIs:
   ``ub = min_i ub_i`` and ``lb = max(0, sum_i lb_i - (n-1)|roi|)``.
@@ -25,8 +26,8 @@ The engine executes the paper's query classes over a
 
 The index may be full (MS), partial or empty (MS-II, §3.6): a mask with
 no CHI entry gets the vacuous interval ``(-inf, +inf)``, so the filter
-stage always sends it to verification, and the verification scan builds
-its CHI and adds it to the index.
+stage always sends it to verification, and the verification scan of
+every query class, Q5's included, builds its CHI for the index.
 
 Without an index (``index=None``) the engine is the paper's full-scan
 baseline class, PostgreSQL ≡ TileDB ≡ NumPy: all three load *every* mask
@@ -187,21 +188,26 @@ class MaskSearchEngine:
     # verification stage (mask I/O through the DataSourceV2)
     # ------------------------------------------------------------------
     def exact_cp(
-        self, meta: pd.DataFrame, terms: tuple[CPTerm, ...]
+        self, meta: pd.DataFrame, terms: tuple[CPTerm, ...], t: float | None = None
     ) -> pd.DataFrame:
         """Load the masks in ``meta`` from disk (the store scan opens
-        only their files) and compute exact CP for every term. The same
-        scan builds the CHI of the loaded masks the index lacks, which
-        are then added to it (§3.6); without an index it builds none.
+        only their files) and compute exact CP for every term; with
+        ``t``, of ``terms[0]`` on each mask's image intersection at ``t``
+        (Q5). If the index lacks the CHI of any of them, the same scan
+        builds the CHI of every loaded mask and the missing ones are
+        added to the index (§3.6); without an index it builds none.
         Returns ``mask_id, image_id, cp_0..cp_{n-1}``.
         """
-        if self.index is None:
-            return verify.exact_cp_pdf(self.spark, self.store, meta, terms)
         ids = meta["mask_id"].to_numpy(np.int64)
+        if self.index is None or self.index.has(ids).all():
+            if t is None:
+                return verify.exact_cp_pdf(self.spark, self.store, meta, terms)
+            return verify.exact_maskagg_pdf(self.spark, self.store, meta, t, terms[0])
         pdf, new_ids, new_H = verify.exact_cp_and_chi(
-            self.spark, self.store, meta, terms, self.index.cfg, chi_ids=ids[~self.index.has(ids)]
+            self.spark, self.store, meta, terms, self.index.cfg, t
         )
-        self.index.add(new_ids, new_H)
+        new = ~self.index.has(new_ids)
+        self.index.add(new_ids[new], new_H[new])
         return pdf
 
     # ------------------------------------------------------------------
@@ -439,7 +445,7 @@ class MaskSearchEngine:
         ent["lo"] = np.maximum(ent["lo"] - (ent["n"] - 1) * ent["area"], 0)
 
         def _exact(sub: pd.DataFrame) -> tuple[pd.DataFrame, int]:
-            pdf = verify.exact_maskagg_pdf(self.spark, self.store, sub, t, term)
+            pdf = self.exact_cp(sub, (term,), t)
             agg = pdf.groupby("image_id", sort=True)["cp_0"].first().rename("val").reset_index()
             return agg, len(pdf)
 

@@ -5,9 +5,10 @@ Each is one ``maskstore`` scan in verification mode
 (:class:`~repro.maskstore.datasource.VerifySpec`, JSON in a reader
 option) collected with ``toPandas``: the reader opens exactly the
 targeted mask files and returns one row per opened mask with its exact
-CP (for Q5, of its image's intersection) and, for first-touch masks, its
-CHI, computed inside ``read()``. A verification task therefore runs one
-Python stage, and a round is one Spark job with no shuffle, Q5 included.
+CP (for Q5, of its image's intersection) and, when a ``ChiConfig`` is
+given, its CHI, computed inside ``read()``. A verification task
+therefore runs one Python stage, and a round is one Spark job with no
+shuffle, Q5 included.
 The *only* difference between MaskSearch and the baseline is which
 ``mask_id`` set reaches these functions.
 """
@@ -56,7 +57,7 @@ def exact_cp_pdf(
     Returns ``mask_id, image_id, cp_0..cp_{n-1}`` (pandas; one row per
     mask).
     """
-    return _run(spark, store, meta, datasource.VerifySpec(tuple(terms))).drop(columns=["h"])
+    return _run(spark, store, meta, datasource.VerifySpec(tuple(terms)))
 
 
 def exact_maskagg_pdf(
@@ -70,7 +71,7 @@ def exact_maskagg_pdf(
     image's masks in ``meta`` are intersected inside the reader. Returns
     ``mask_id, image_id, cp_0``, one row per mask, ``cp_0`` being its
     image's value."""
-    return _run(spark, store, meta, datasource.VerifySpec((term,), t=t)).drop(columns=["h"])
+    return _run(spark, store, meta, datasource.VerifySpec((term,), t=t))
 
 
 def exact_cp_and_chi(
@@ -79,19 +80,15 @@ def exact_cp_and_chi(
     meta: pd.DataFrame,
     terms: tuple[CPTerm, ...],
     cfg: ChiConfig,
-    chi_ids,
+    t: float | None = None,
 ) -> tuple[pd.DataFrame, np.ndarray, np.ndarray]:
     """Verification with incremental indexing (§3.6): one pass that
-    loads each mask and computes exact CPs, additionally building the
-    CHI for the masks in ``chi_ids``. A single scan thus covers both
-    first-touch masks (CP + CHI) and already-indexed masks that need
-    verification (CP only). Returns
-    ``(cp_pdf, chi_mask_ids, H_tensor)``; ``cp_pdf`` covers every mask in
-    ``meta``, the CHI outputs only ``chi_ids``.
+    loads each mask in ``meta``, computes its exact CPs (with ``t``, as
+    :func:`exact_cp_pdf` and :func:`exact_maskagg_pdf` do) and builds its
+    CHI under ``cfg``. Returns ``(cp_pdf, chi_mask_ids, H_tensor)``, all
+    three covering every mask in ``meta``.
     """
-    spec = datasource.VerifySpec(tuple(terms), cfg, frozenset(int(v) for v in chi_ids))
-    out = _run(spark, store, meta, spec)
-    with_chi = out[out["h"].map(len) > 0]
+    out = _run(spark, store, meta, datasource.VerifySpec(tuple(terms), cfg, t))
     shape = row_shape(cfg, store.spec.width, store.spec.height)
-    H = rows_to_tensor(pa.array(with_chi["h"], pa.list_(pa.int64())), shape)
-    return out.drop(columns=["h"]), with_chi["mask_id"].to_numpy(np.int64), H
+    H = rows_to_tensor(pa.array(out["h"], pa.list_(pa.int64())), shape)
+    return out.drop(columns=["h"]), out["mask_id"].to_numpy(np.int64), H

@@ -29,11 +29,11 @@ A plain read produces :data:`SCHEMA`: the mask pixels flattened into an
 the verification result inside ``read()``, one ``(n, h, w)`` array per
 chunk of masks, so a verification task runs a single Python stage. Every
 verification scan returns one row per opened mask,
-``mask_id, image_id, cp_0..cp_{n-1}, h``: exact CP per term and the
-flattened CHI of the spec's ``chi_ids`` (``[]`` for the others). In Q5
-mode (``t`` set) each term is evaluated on the intersection at ``t`` of
-the targeted masks of the mask's image; partitions and chunks end on
-image boundaries, so there is no shuffle.
+``mask_id, image_id, cp_0..cp_{n-1}``: exact CP per term and, if the
+spec has a :class:`~repro.core.chi.ChiConfig`, the mask's flattened CHI
+``h``. In Q5 mode (``t`` set) each term is evaluated on the intersection
+at ``t`` of the targeted masks of the mask's image; partitions and
+chunks end on image boundaries, so there is no shuffle.
 
 A partition is a slice of the store's metadata rows: ids, paths and
 ROIs are read from it where the masks are opened.
@@ -114,21 +114,18 @@ class VerifySpec:
     ``verify`` option in JSON (never pickle: decoding an option must not
     be able to run code).
 
-    ``terms`` are the CP terms; ``cfg`` and ``chi_ids`` ask for the CHI of
-    those masks (MS-II, §3.6); ``t`` selects Q5 mode, where ``terms[0]``
-    is evaluated on each mask's image intersection at ``t``.
+    ``terms`` are the CP terms; ``cfg`` asks for the CHI of every opened
+    mask (MS-II, §3.6); ``t`` selects Q5 mode, where ``terms[0]`` is
+    evaluated on each mask's image intersection at ``t``.
     """
 
     terms: tuple[CPTerm, ...]
     cfg: ChiConfig | None = None
-    chi_ids: frozenset = frozenset()
     t: float | None = None
 
     def __post_init__(self):
-        if self.t is not None and (len(self.terms) != 1 or self.chi_ids):
-            raise ValueError("Q5 mode takes exactly one term and no chi_ids")
-        if self.chi_ids and self.cfg is None:
-            raise ValueError("chi_ids need a ChiConfig")
+        if self.t is not None and len(self.terms) != 1:
+            raise ValueError("Q5 mode takes exactly one term")
 
     def to_json(self) -> str:
         def roi(r):
@@ -138,7 +135,6 @@ class VerifySpec:
             {
                 "terms": [[float(c.lv), float(c.uv), roi(c.roi)] for c in self.terms],
                 "chi": None if self.cfg is None else [self.cfg.wc, self.cfg.hc, self.cfg.b],
-                "chi_ids": sorted(int(v) for v in self.chi_ids),
                 "t": None if self.t is None else float(self.t),
             }
         )
@@ -149,8 +145,8 @@ class VerifySpec:
         anything else."""
         try:
             d = json.loads(raw)
-            if not isinstance(d, dict) or set(d) != {"terms", "chi", "chi_ids", "t"}:
-                raise ValueError("expected the keys terms, chi, chi_ids and t")
+            if not isinstance(d, dict) or set(d) != {"terms", "chi", "t"}:
+                raise ValueError("expected the keys terms, chi and t")
             terms = tuple(
                 CPTerm(_number(lv), _number(uv), _roi(roi)) for lv, uv, roi in d["terms"]
             )
@@ -160,9 +156,8 @@ class VerifySpec:
                 if min(wc, hc, b) < 1:
                     raise ValueError(f"ChiConfig values must be positive, got {d['chi']}")
                 cfg = ChiConfig(wc, hc, b)
-            chi_ids = frozenset(_int(v) for v in d["chi_ids"])
             t = None if d["t"] is None else _number(d["t"])
-            return cls(terms, cfg, chi_ids, t)
+            return cls(terms, cfg, t)
         except (TypeError, ValueError, KeyError) as e:
             raise ValueError(f"malformed verify spec: {e}") from None
 
@@ -170,7 +165,7 @@ class VerifySpec:
         return StructType(
             [StructField("mask_id", LongType()), StructField("image_id", LongType())]
             + [StructField(f"cp_{i}", LongType()) for i in range(len(self.terms))]
-            + [StructField("h", ArrayType(LongType()))]
+            + ([] if self.cfg is None else [StructField("h", ArrayType(LongType()))])
         )
 
 
@@ -207,6 +202,8 @@ class MaskStoreReader(DataSourceReader):
         # reproducing the paper's provisioned-bandwidth disk where mask
         # loading dominates query time. 0 (default) = raw local I/O.
         self.io_delay_ms = float(options.get("iodelayms", 0.0))
+        if not 0 <= self.io_delay_ms < math.inf:
+            raise ValueError(f"iodelayms must be finite and >= 0, got {self.io_delay_ms}")
         # Optional explicit target list (comma-separated mask_ids): the
         # verification stage's target path — Catalyst ``In`` with
         # thousands of literals costs seconds of analysis.
@@ -222,14 +219,10 @@ class MaskStoreReader(DataSourceReader):
     def _check(self, meta) -> None:
         """Reject targets that would silently yield fewer rows, and ROIs
         or a ``ChiConfig`` that do not fit the store's masks."""
-        known = frozenset(meta["mask_id"].tolist())
         spec = self.spec or VerifySpec(())
-        targets = known if self.target_ids is None else self.target_ids
-        missing = (targets | spec.chi_ids) - known
+        missing = (self.target_ids or frozenset()) - frozenset(meta["mask_id"].tolist())
         if missing:
             raise ValueError(f"mask ids not in the store's metadata: {sorted(missing)[:10]}")
-        if not spec.chi_ids <= targets:
-            raise ValueError(f"chi_ids not targeted: {sorted(spec.chi_ids - targets)[:10]}")
         if len(meta):
             w, h = int(meta["width"].iat[0]), int(meta["height"].iat[0])
             for term in spec.terms:
@@ -293,13 +286,11 @@ class MaskStoreReader(DataSourceReader):
         cols = [pa.array(rows["mask_id"]), pa.array(rows["image_id"])]
         for term in spec.terms:
             cols.append(pa.array(cp_batch(counted, term.rois(rows, w, h), term.lv, term.uv)))
-        # The CHI is of the opened mask, never of an intersection.
-        want = rows["mask_id"].isin(spec.chi_ids).to_numpy()
-        H = [build_chi_array(m, spec.cfg).ravel() for m in masks[want]]
-        offsets = np.zeros(len(rows) + 1, dtype=np.int32)
-        offsets[1:] = np.cumsum(want * (H[0].size if H else 0))
-        flat = np.concatenate(H) if H else np.zeros(0, dtype=np.int64)
-        cols.append(pa.ListArray.from_arrays(pa.array(offsets), pa.array(flat, type=pa.int64())))
+        if spec.cfg is not None:
+            # The CHI is of the opened mask, never of an intersection.
+            H = np.stack([build_chi_array(m, spec.cfg).ravel() for m in masks])
+            offsets = pa.array(np.arange(len(H) + 1, dtype=np.int32) * H.shape[1])
+            cols.append(pa.ListArray.from_arrays(offsets, pa.array(H.ravel())))
         return pa.RecordBatch.from_arrays(cols, names=spec.schema().fieldNames())
 
 

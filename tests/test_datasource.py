@@ -150,6 +150,12 @@ class TestPushdown:
         ds.scan(spark, store, tiny_meta.head(1)).collect()
         assert time.perf_counter() - t0 >= 0.3
 
+    @pytest.mark.parametrize("delay", ["nan", "-1", "inf", "-inf"])
+    def test_io_delay_must_be_finite_and_non_negative(self, tiny_store, delay):
+        """Rejected when the reader is built, not by every task's sleep."""
+        with pytest.raises(ValueError, match="iodelayms"):
+            ds.MaskStoreReader({"path": tiny_store.root, "iodelayms": delay})
+
 
 @pytest.mark.parametrize(
     "select",

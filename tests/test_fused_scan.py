@@ -67,10 +67,9 @@ def test_ratio_loads_count_zero_denominators(baseline):
 def test_cp_mode_matches_driver_kernels(spark, tiny_store, tiny_meta, tiny_cfg):
     meta = tiny_meta.iloc[::3]
     terms = (CPTerm(0.6, 1.0, CONST_ROI), CPTerm(0.8, 1.0, OBJECT_ROI), CPTerm(0.3, 0.9, None))
-    chi_ids = meta["mask_id"].to_numpy()[::2]
-    pdf, ids, H = verify.exact_cp_and_chi(spark, tiny_store, meta, terms, tiny_cfg, chi_ids)
+    pdf, ids, H = verify.exact_cp_and_chi(spark, tiny_store, meta, terms, tiny_cfg)
     assert sorted(pdf["mask_id"]) == sorted(meta["mask_id"])
-    assert sorted(ids) == sorted(chi_ids)
+    assert ids.tolist() == pdf["mask_id"].tolist()
     rows = meta.set_index("mask_id")
     for r in pdf.itertuples(index=False):
         m = testing.load_mask(tiny_store, r.mask_id)
@@ -92,6 +91,19 @@ def test_q5_mode_intersects_each_image(spark, tiny_store, tiny_meta):
         box = tuple(sub[["obj_x1", "obj_y1", "obj_x2", "obj_y2"]].iloc[0])
         m = intersect_threshold([testing.load_mask(tiny_store, i) for i in sub["mask_id"]], 0.7)
         assert r.cp_0 == cp(m, box, 0.7, 1.0)
+
+
+def test_q5_mode_with_chi_builds_chi_of_opened_masks(spark, tiny_store, tiny_meta, tiny_cfg):
+    """With a ``ChiConfig``, Q5 mode returns the same CPs and the CHI of
+    each opened mask, never of its image's intersection."""
+    meta = tiny_meta[tiny_meta["image_id"] < 10]
+    pdf, ids, H = verify.exact_cp_and_chi(spark, tiny_store, meta, (Q5_TERM,), tiny_cfg, 0.7)
+    plain = verify.exact_maskagg_pdf(spark, tiny_store, meta, 0.7, Q5_TERM)
+    assert pdf.sort_values("mask_id").reset_index(drop=True).equals(
+        plain.sort_values("mask_id").reset_index(drop=True)
+    )
+    for mid, h in zip(ids, H):
+        assert np.array_equal(h, build_chi_array(testing.load_mask(tiny_store, mid), tiny_cfg))
 
 
 @pytest.mark.parametrize("n_partitions", [1, 3, 7, 64])
@@ -120,7 +132,7 @@ ENTRY_POINTS = {
         spark, store, meta, (CPTerm(0.6, 1.0, CONST_ROI),)
     ),
     "exact_cp_and_chi": lambda spark, store, meta, cfg: verify.exact_cp_and_chi(
-        spark, store, meta, (CPTerm(0.6, 1.0, CONST_ROI),), cfg, meta["mask_id"].to_numpy()[:4]
+        spark, store, meta, (CPTerm(0.6, 1.0, CONST_ROI),), cfg
     ),
     "exact_maskagg_pdf": lambda spark, store, meta, cfg: verify.exact_maskagg_pdf(
         spark, store, meta, 0.7, Q5_TERM
@@ -169,15 +181,14 @@ def _reader(store, spec_json=None, **opts):
     return ds.MaskStoreReader({"path": store.root, **opts})
 
 
-def _spec(terms=(), chi=None, chi_ids=(), t=None) -> str:
-    return ds.VerifySpec(tuple(terms), chi, frozenset(chi_ids), t).to_json()
+def _spec(terms=(), chi=None, t=None) -> str:
+    return ds.VerifySpec(tuple(terms), chi, t).to_json()
 
 
 def test_spec_round_trips_through_json(tiny_store):
     spec = ds.VerifySpec(
         (CPTerm(0.1, 0.9, CONST_ROI), CPTerm(0.5, 1.0, OBJECT_ROI), CPTerm(0.0, 1.0, None)),
         ChiConfig(8, 8, 8),
-        frozenset({1, 2, 3}),
     )
     assert ds.VerifySpec.from_json(spec.to_json()) == spec
     assert _reader(tiny_store, spec.to_json()).spec == spec
@@ -196,20 +207,20 @@ class _Payload:
         "not json",
         "[]",
         '{"terms": []}',
-        '{"terms": [[0.5, 1.0]], "chi": null, "chi_ids": [], "t": null}',
-        '{"terms": [["0.5", 1.0, null]], "chi": null, "chi_ids": [], "t": null}',
-        '{"terms": [[0.5, 1.0, "objet"]], "chi": null, "chi_ids": [], "t": null}',
-        '{"terms": [[0.5, 1.0, [0, 0, 8]]], "chi": null, "chi_ids": [], "t": null}',
-        '{"terms": [[NaN, 1.0, null]], "chi": null, "chi_ids": [], "t": null}',
-        '{"terms": [], "chi": [0, 8, 8], "chi_ids": [], "t": null}',
-        '{"terms": [], "chi": null, "chi_ids": [1], "t": null}',
-        '{"terms": [[0.5, 1.0, null], [0.5, 1.0, null]], "chi": null, "chi_ids": [], "t": 0.5}',
-        '{"terms": [], "chi": null, "chi_ids": [], "t": null, "extra": 1}',
+        '{"terms": [[0.5, 1.0]], "chi": null, "t": null}',
+        '{"terms": [["0.5", 1.0, null]], "chi": null, "t": null}',
+        '{"terms": [[0.5, 1.0, "objet"]], "chi": null, "t": null}',
+        '{"terms": [[0.5, 1.0, [0, 0, 8]]], "chi": null, "t": null}',
+        '{"terms": [[NaN, 1.0, null]], "chi": null, "t": null}',
+        '{"terms": [], "chi": [0, 8, 8], "t": null}',
+        '{"terms": [], "chi": [8, 8, 8], "chi_ids": [1], "t": null}',
+        '{"terms": [[0.5, 1.0, null], [0.5, 1.0, null]], "chi": null, "t": 0.5}',
+        '{"terms": [], "chi": null, "t": null, "extra": 1}',
         pickle.dumps(_Payload(), protocol=0).decode("latin-1"),
     ],
     ids=[
         "not_json", "not_object", "missing_keys", "short_term", "string_bound",
-        "unknown_roi", "short_roi", "nan_bound", "zero_cell", "chi_ids_without_cfg",
+        "unknown_roi", "short_roi", "nan_bound", "zero_cell", "stale_chi_ids_key",
         "q5_two_terms", "extra_key", "pickle_payload",
     ],
 )
@@ -226,17 +237,12 @@ def test_roi_outside_mask_raises(tiny_store):
 
 def test_chi_config_not_fitting_mask_raises(tiny_store):
     with pytest.raises(ValueError, match="not divisible"):
-        _reader(tiny_store, _spec(chi=ChiConfig(64, 64, 8), chi_ids=[0]))
+        _reader(tiny_store, _spec(chi=ChiConfig(64, 64, 8)))
 
 
 def test_target_id_missing_from_metadata_raises(tiny_store):
     with pytest.raises(ValueError, match="not in the store's metadata"):
         _reader(tiny_store, _spec([CPTerm(0.5, 1.0)]), maskids=f"0,1,{10**6}")
-
-
-def test_chi_id_missing_from_metadata_raises(tiny_store, tiny_cfg):
-    with pytest.raises(ValueError, match="not in the store's metadata"):
-        _reader(tiny_store, _spec(chi=tiny_cfg, chi_ids=[10**6]))
 
 
 # -- bin-edge fuzz -------------------------------------------------------------

@@ -2,6 +2,7 @@
 queries through the program's reader, so a rename or a changed reader
 path must fail here rather than crash or skew a benchmark run."""
 import pytest
+from pyspark.sql.classic.dataframe import DataFrame
 
 from perfbench import replay
 from perfbench.tracing import Tracer
@@ -11,6 +12,7 @@ from repro.core.cp import CPTerm
 from repro.core.executor import MaskSearchEngine
 from repro.core.incremental import IncrementalSession
 from repro.masks.synth import TINY
+from repro.workloads.queries import table1_queries
 
 
 def test_tracer_installs_and_uninstalls():
@@ -23,6 +25,31 @@ def test_tracer_installs_and_uninstalls():
     finally:
         tracer.uninstall()
     assert (verify.exact_cp_and_chi, IncrementalSession.__dict__["filter"]) == before
+
+
+@pytest.mark.parametrize("executor", ["engine", "msii"])
+def test_verify_calls_count_q5_rounds(request, tiny_store, monkeypatch, executor):
+    """The benchmark's ``verify_rounds`` counts each verification call
+    that loads masks once: one collected scan per round, for Q5 on MS
+    and on MS-II alike (there through ``exact_cp_and_chi``)."""
+    ex = request.getfixturevalue(executor)
+    q5 = next(q for q in table1_queries(tiny_store.spec) if q.name == "Q5")
+    scans = []
+    real = DataFrame.toPandas
+
+    def collected(self, *a, **kw):
+        scans.append(self)
+        return real(self, *a, **kw)
+
+    monkeypatch.setattr(DataFrame, "toPandas", collected)
+    tracer = Tracer(spans=False)
+    tracer.install()
+    try:
+        with tracer.query("q5"):
+            q5.run(ex)
+    finally:
+        tracer.uninstall()
+    assert tracer.verify_calls == len(scans) > 0
 
 
 def test_bench_queries_bind_to_engine_signatures():

@@ -32,11 +32,15 @@ def test_masksearch_never_loads_more_than_baseline(queries, engine, baseline, na
 
 @pytest.mark.parametrize("name", ["Q1", "Q2", "Q3", "Q4", "Q5"])
 def test_msii_session_matches_engine(queries, engine, msii, name):
-    """Every class runs on MS-II; it indexes what it loads, except Q5,
-    whose grouped intersection scan builds no CHI."""
-    r = queries[name].run(msii)
-    assert r.pdf.equals(queries[name].run(engine).pdf)
-    assert msii.n_indexed == (0 if name == "Q5" else r.stats.masks_loaded)
+    """Every class runs on MS-II and indexes what it loads, Q5 included,
+    so a second run on the same session loads exactly what MS loads."""
+    q = queries[name]
+    r, ms = q.run(msii), q.run(engine)
+    assert r.pdf.equals(ms.pdf)
+    assert msii.n_indexed == r.stats.masks_loaded
+    again = q.run(msii)
+    assert again.pdf.equals(ms.pdf)
+    assert again.stats.masks_loaded == ms.stats.masks_loaded
 
 
 def test_full_index_engine_indexes_nothing(queries, engine, tiny_store):

@@ -1,31 +1,32 @@
-"""CHI bound derivation (paper §3.1 Def. 3.1, Eq. 2 and §3.2 Eqs. 3-4).
+"""CHI bound derivation (paper §3.1, Eq. 2; an extension of §3.2 Eqs. 3-4).
 
 Given the CHI tensor of a mask, an arbitrary ROI and an arbitrary pixel
 value range ``[lv, uv)``, compute a certified interval
 ``[theta_lower, theta_upper]`` around the exact
 ``CP(mask, roi, (lv, uv))`` without touching the mask itself.
 
-Upper bounds (paper):
-  * ``ub1`` (Eq. 3): exact outer-range count over ``roi_bar``, the
-    smallest *available region* covering the ROI.
-  * ``ub2`` (Eq. 4): outer-range count over ``roi_under``, the largest
-    available region covered by the ROI, plus the uncovered area
-    ``|roi| - |roi_under|``.
-
-Lower bounds (symmetric; the paper omits the derivation for space):
-  * ``lb1``: inner-range count over ``roi_under`` — pixels certainly in
-    the ROI with values certainly inside ``[lv, uv)``.
-  * ``lb2``: inner-range count over ``roi_bar`` minus the area outside
-    the ROI, ``|roi_bar| - |roi|``, clipped at 0.
-
 "Outer" / "inner" value ranges snap ``[lv, uv)`` outward / inward to bin
 boundaries: outer ``[floor(lv*b), ceil(uv*b))`` is a superset, inner
-``[ceil(lv*b), floor(uv*b))`` a subset of the queried range.
+``[ceil(lv*b), floor(uv*b))`` a subset of the queried range. Eq. (2)
+on one grid cell ``c`` gives ``Co``, its count of pixels whose bin is in
+the outer range (possibly in ``[lv, uv)``), and ``Ci``, its count in the
+inner range (certainly in it). With ``a = |c ∩ roi|``, at most
+``min(Co, a)`` and at least ``Ci - (|c| - a)`` of the cell's counted
+pixels lie in the ROI, so
+
+    ub = sum_c min(Co, a)        lb = sum_c max(0, Ci - (|c| - a)).
+
+The paper bounds from two *available regions* instead (Def. 3.1): the
+smallest one covering the ROI and the largest one it covers. Cell by
+cell those bounds add ``Co`` (or ``a``) and ``Ci`` (or 0) where these
+take ``min`` and ``max``, so ``ub <= min(theta_bar_1, theta_bar_2, |roi|)``
+and ``lb >= max(theta_lower_1, theta_lower_2, 0)``: Eqs. 3-4 and their
+symmetric lower bounds are never tighter (DESIGN.md §4).
 
 Everything is vectorised across masks: ``H`` has shape
 ``(N, ny + 1, nx + 1, b)`` and ``rois`` shape ``(N, 4)``, producing
-``(N,)`` bound vectors in a handful of NumPy gathers — this is the
-driver-side filter stage the paper runs over its in-memory index
+``(N,)`` bound vectors from at most four bin planes of ``H`` — this is
+the driver-side filter stage the paper runs over its in-memory index
 (:meth:`repro.core.executor.MaskSearchEngine.bounds`).
 """
 from __future__ import annotations
@@ -55,41 +56,12 @@ def value_bin_bounds(lv: float, uv: float, b: int) -> tuple[int, int, int, int]:
     return klo_out, khi_out, klo_in, khi_in
 
 
-def _region_counts(
-    H: np.ndarray,
-    j1: np.ndarray,
-    i1: np.ndarray,
-    j2: np.ndarray,
-    i2: np.ndarray,
-    klo: int,
-    khi: int,
-) -> np.ndarray:
-    """Vectorised Eq. (2) + range subtraction: for each mask ``m``, the
-    count of pixels in cell-corner region ``cols [j1, j2) x rows [i1, i2)``
-    (corner indices) with bin in ``[klo, khi)``. ``C[..., b] == 0`` by
-    convention, handled by clamping: counts with bin >= b are zero.
-    """
-    n = H.shape[0]
-    b = H.shape[3]
-    rows = np.arange(n)
-
-    def corner(i: np.ndarray, j: np.ndarray, k: int) -> np.ndarray:
-        if k >= b:
-            return np.zeros(n, dtype=np.int64)
-        return H[rows, i, j, k]
-
-    def crange(k: int) -> np.ndarray:
-        # C(region)[k] via the 4-corner inclusion-exclusion of Eq. (2).
-        return (
-            corner(i2, j2, k)
-            - corner(i1, j2, k)
-            - corner(i2, j1, k)
-            + corner(i1, j1, k)
-        )
-
-    if klo >= khi:
-        return np.zeros(n, dtype=np.int64)
-    return crange(klo) - crange(khi)
+def _overlap(lo: np.ndarray, hi: np.ndarray, n: int, size: int) -> np.ndarray:
+    """``(N, n)``: length of ``[lo, hi)`` inside each of ``n`` cells of
+    ``size`` pixels along one axis."""
+    edges = np.arange(n + 1) * size
+    inside = np.minimum(hi[:, None], edges[1:]) - np.maximum(lo[:, None], edges[:-1])
+    return np.maximum(inside, 0)
 
 
 def cp_bounds_batch(
@@ -115,34 +87,19 @@ def cp_bounds_batch(
         raise ValueError(f"H has {H.shape[3]} bins, config says {b}")
     klo_out, khi_out, klo_in, khi_in = value_bin_bounds(lv, uv, b)
 
-    x1, y1, x2, y2 = rois[:, 0], rois[:, 1], rois[:, 2], rois[:, 3]
-    area = (x2 - x1) * (y2 - y1)
+    def cells(klo: int, khi: int):
+        # Per-cell count of pixels with bin in [klo, khi); none for an
+        # empty or reversed range. The corner plane is formed first, as
+        # one contiguous array: Eq. (2) on strided views of H reads
+        # each count four times and costs twice as much.
+        if klo >= khi:
+            return 0
+        P = H[..., klo] - (H[..., khi] if khi < b else 0)
+        return P[:, 1:, 1:] - P[:, :-1, 1:] - P[:, 1:, :-1] + P[:, :-1, :-1]
 
-    # Smallest covering available region (corner indices into H).
-    oj1, oi1 = x1 // wc, y1 // hc
-    oj2, oi2 = -(-x2 // wc), -(-y2 // hc)
-    area_outer = (oj2 - oj1) * wc * (oi2 - oi1) * hc
-
-    # Largest covered available region; may be empty.
-    uj1, ui1 = -(-x1 // wc), -(-y1 // hc)
-    uj2, ui2 = x2 // wc, y2 // hc
-    inner_ok = (uj1 < uj2) & (ui1 < ui2)
-    # Collapse empty inner regions to a degenerate zero-count region.
-    uj2c = np.where(inner_ok, uj2, uj1)
-    ui2c = np.where(inner_ok, ui2, ui1)
-    area_inner = np.where(inner_ok, (uj2 - uj1) * wc * (ui2 - ui1) * hc, 0)
-
-    out_outer = _region_counts(H, oj1, oi1, oj2, oi2, klo_out, khi_out)
-    out_inner = _region_counts(H, uj1, ui1, uj2c, ui2c, klo_out, khi_out)
-    in_outer = _region_counts(H, oj1, oi1, oj2, oi2, klo_in, khi_in)
-    in_inner = _region_counts(H, uj1, ui1, uj2c, ui2c, klo_in, khi_in)
-
-    ub1 = out_outer  # Eq. (3)
-    ub2 = out_inner + area - area_inner  # Eq. (4)
-    ub = np.minimum(np.minimum(ub1, ub2), area)
-
-    lb1 = in_inner
-    lb2 = in_outer - (area_outer - area)
-    lb = np.maximum(np.maximum(lb1, lb2), 0)
-    return lb.astype(np.int64), ub.astype(np.int64)
-
+    ny, nx = H.shape[1] - 1, H.shape[2] - 1
+    x1, y1, x2, y2 = rois.T
+    a = _overlap(y1, y2, ny, hc)[:, :, None] * _overlap(x1, x2, nx, wc)[:, None, :]
+    ub = np.minimum(cells(klo_out, khi_out), a).sum(axis=(1, 2))
+    lb = np.maximum(cells(klo_in, khi_in) - (wc * hc - a), 0).sum(axis=(1, 2))
+    return lb, ub

@@ -203,11 +203,10 @@ class MaskSearchEngine:
             if t is None:
                 return verify.exact_cp_pdf(self.spark, self.store, meta, terms)
             return verify.exact_maskagg_pdf(self.spark, self.store, meta, t, terms[0])
-        pdf, new_ids, new_H = verify.exact_cp_and_chi(
-            self.spark, self.store, meta, terms, self.index.cfg, t
-        )
-        new = ~self.index.has(new_ids)
-        self.index.add(new_ids[new], new_H[new])
+        pdf, H = verify.exact_cp_and_chi(self.spark, self.store, meta, terms, self.index.cfg, t)
+        ids = pdf["mask_id"].to_numpy(np.int64)
+        new = ~self.index.has(ids)
+        self.index.add(ids[new], H[new])
         return pdf
 
     # ------------------------------------------------------------------

@@ -81,14 +81,15 @@ def exact_cp_and_chi(
     terms: tuple[CPTerm, ...],
     cfg: ChiConfig,
     t: float | None = None,
-) -> tuple[pd.DataFrame, np.ndarray, np.ndarray]:
+) -> tuple[pd.DataFrame, np.ndarray]:
     """Verification with incremental indexing (§3.6): one pass that
     loads each mask in ``meta``, computes its exact CPs (with ``t``, as
     :func:`exact_cp_pdf` and :func:`exact_maskagg_pdf` do) and builds its
-    CHI under ``cfg``. Returns ``(cp_pdf, chi_mask_ids, H_tensor)``, all
-    three covering every mask in ``meta``.
+    CHI under ``cfg``. Returns ``(cp_pdf, H_tensor)``, one row of each
+    per mask in ``meta``: ``H_tensor[i]`` is the CHI of mask
+    ``cp_pdf["mask_id"].iat[i]``.
     """
     out = _run(spark, store, meta, datasource.VerifySpec(tuple(terms), cfg, t))
     shape = row_shape(cfg, store.spec.width, store.spec.height)
     H = rows_to_tensor(pa.array(out["h"], pa.list_(pa.int64())), shape)
-    return out.drop(columns=["h"]), out["mask_id"].to_numpy(np.int64), H
+    return out.drop(columns=["h"]), H

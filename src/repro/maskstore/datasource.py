@@ -214,22 +214,25 @@ class MaskStoreReader(DataSourceReader):
         raw_spec = options.get("verify")
         self.spec = None if raw_spec is None else VerifySpec.from_json(raw_spec)
         if self.spec is not None or self.target_ids is not None:
-            self._check(read_metadata(self.root))
+            self._check(MaskStore(self.root).spec)
 
-    def _check(self, meta) -> None:
+    def _check(self, data) -> None:
         """Reject targets that would silently yield fewer rows, and ROIs
-        or a ``ChiConfig`` that do not fit the store's masks."""
+        or a ``ChiConfig`` that do not fit the store's masks.
+
+        Checked against the store's ``_SPEC.json`` (mask ids are dense in
+        ``[0, n_masks)``), so planning a scan reads the metadata table
+        once, in :meth:`partitions`. The reader is pickled into every
+        task before that, so the table is not kept on it."""
         spec = self.spec or VerifySpec(())
-        missing = (self.target_ids or frozenset()) - frozenset(meta["mask_id"].tolist())
+        missing = sorted(i for i in self.target_ids or () if not 0 <= i < data.n_masks)
         if missing:
-            raise ValueError(f"mask ids not in the store's metadata: {sorted(missing)[:10]}")
-        if len(meta):
-            w, h = int(meta["width"].iat[0]), int(meta["height"].iat[0])
-            for term in spec.terms:
-                if term.roi != OBJECT_ROI:
-                    term.resolve_roi(w, h)
-            if spec.cfg is not None:
-                spec.cfg.grid(w, h)
+            raise ValueError(f"mask ids not in the store's metadata: {missing[:10]}")
+        for term in spec.terms:
+            if term.roi != OBJECT_ROI:
+                term.resolve_roi(data.width, data.height)
+        if spec.cfg is not None:
+            spec.cfg.grid(data.width, data.height)
 
     # -- Catalyst pushdown ------------------------------------------------
     def pushFilters(self, filters: List[Filter]) -> Iterator[Filter]:

@@ -1,6 +1,7 @@
-"""CHI bound tests (paper §3.2 Eqs. 3-4 + symmetric lower bounds),
-anchored on the paper's Figure 6 worked example, plus exhaustive
-soundness grids and hypothesis fuzzing."""
+"""CHI bound tests: the per-cell bounds against the paper's Figure 6
+worked example and a pixel-level reference for §3.2 Eqs. 3-4 (and their
+symmetric lower bounds), plus exhaustive soundness grids and hypothesis
+fuzzing."""
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,6 +21,43 @@ def cp_bounds_single(
     return int(lb[0]), int(ub[0])
 
 
+def eqs_3_4(
+    mask: np.ndarray, roi: tuple[int, int, int, int], lv: float, uv: float, cfg: ChiConfig
+) -> tuple[int, int, int, int]:
+    """The paper's available-region bounds ``(ub1, ub2, lb1, lb2)``,
+    counted pixel by pixel from the mask rather than from its CHI.
+
+    A pixel counts when its bin (as :func:`build_chi_array` computes it)
+    lies in the outer or inner bin range of :func:`value_bin_bounds`.
+    ``ub1`` (Eq. 3) counts the outer range over the smallest cell-aligned
+    box covering the ROI; ``ub2`` (Eq. 4) over the largest one the ROI
+    covers, plus the ROI area that box misses; ``lb1`` counts the inner
+    range over the covered box, and ``lb2`` over the covering box minus
+    its area outside the ROI."""
+    wc, hc = cfg.wc, cfg.hc
+    bins = np.clip((mask * cfg.b).astype(np.int64), 0, cfg.b - 1)
+    klo_out, khi_out, klo_in, khi_in = value_bin_bounds(lv, uv, cfg.b)
+    x1, y1, x2, y2 = roi
+    covering = (x1 // wc * wc, y1 // hc * hc, -(-x2 // wc) * wc, -(-y2 // hc) * hc)
+    covered = (-(-x1 // wc) * wc, -(-y1 // hc) * hc, x2 // wc * wc, y2 // hc * hc)
+
+    def area(box):
+        return max(0, box[2] - box[0]) * max(0, box[3] - box[1])
+
+    def count(box, klo, khi):
+        if not area(box):
+            return 0
+        sub = bins[box[1] : box[3], box[0] : box[2]]
+        return int(((sub >= klo) & (sub < khi)).sum())
+
+    return (
+        count(covering, klo_out, khi_out),
+        count(covered, klo_out, khi_out) + area(roi) - area(covered),
+        count(covered, klo_in, khi_in),
+        count(covering, klo_in, khi_in) - (area(covering) - area(roi)),
+    )
+
+
 @pytest.fixture(scope="module")
 def fig4_H():
     return build_chi_array(FIG4, FIG4_CFG)
@@ -34,21 +72,27 @@ class TestFigure6:
     def test_upper_bound_is_min_of_both_approaches(self, fig4_H):
         """Paper: theta_bar_1 = 8 (smallest covering region),
         theta_bar_2 = 7 (largest covered region + uncovered area);
-        theta_bar = min = 7."""
+        theta_bar = min = 7. Per cell the upper bound is 6."""
+        ub1, ub2, _, _ = eqs_3_4(FIG4, self.ROI, 0.5, 1.0, FIG4_CFG)
+        assert (ub1, ub2) == (8, 7)
         _, ub = cp_bounds_single(fig4_H, self.ROI, 0.5, 1.0, FIG4_CFG)
-        assert ub == 7
+        assert ub == 6
 
     def test_exact_value_within_bounds(self, fig4_H):
         exact = cp(FIG4, self.ROI, 0.5, 1.0)
         assert exact == 6
         lb, ub = cp_bounds_single(fig4_H, self.ROI, 0.5, 1.0, FIG4_CFG)
+        assert (lb, ub) == (4, 6)
         assert lb <= exact <= ub
 
     def test_lower_bound(self, fig4_H):
-        """Symmetric lower bounds: lb1 (inner region, inner range) = 2,
-        lb2 = 8 - (16 - 9) = 1; lb = max = 2."""
+        """Symmetric lower bounds: lb1 (covered region, inner range) = 2,
+        lb2 = 8 - (16 - 9) = 1; lb = max = 2. Per cell the lower bound
+        is 4."""
+        _, _, lb1, lb2 = eqs_3_4(FIG4, self.ROI, 0.5, 1.0, FIG4_CFG)
+        assert (lb1, lb2) == (2, 1)
         lb, _ = cp_bounds_single(fig4_H, self.ROI, 0.5, 1.0, FIG4_CFG)
-        assert lb == 2
+        assert lb == 4
 
 
 class TestValueBinBounds:
@@ -165,24 +209,33 @@ class TestSoundness:
     @settings(max_examples=150, deadline=None)
     @given(
         seed=st.integers(0, 10_000),
-        x1=st.integers(0, 14),
-        y1=st.integers(0, 14),
-        dx=st.integers(1, 16),
-        dy=st.integers(1, 16),
+        w=st.sampled_from([8, 16, 24]),
+        h=st.sampled_from([8, 16, 32]),
+        x1=st.integers(0, 23),
+        y1=st.integers(0, 31),
+        dx=st.integers(1, 24),
+        dy=st.integers(1, 32),
         lv100=st.integers(0, 95),
         width100=st.integers(1, 100),
         wc=st.sampled_from([2, 4, 8]),
+        hc=st.sampled_from([2, 4, 8]),
         b=st.sampled_from([2, 4, 8, 16]),
     )
-    def test_fuzz_soundness(self, seed, x1, y1, dx, dy, lv100, width100, wc, b):
-        cfg = ChiConfig(wc, wc, b)
-        m = _random_mask(seed)
+    def test_fuzz_soundness(self, seed, w, h, x1, y1, dx, dy, lv100, width100, wc, hc, b):
+        """Non-square cells on non-square masks: the interval contains
+        the exact CP and lies inside the Eqs. 3-4 interval."""
+        cfg = ChiConfig(wc, hc, b)
+        m = _random_mask(seed, h, w)
         H = build_chi_array(m, cfg)
-        x2, y2 = min(16, x1 + dx), min(16, y1 + dy)
+        x1, y1 = min(x1, w - 1), min(y1, h - 1)
+        roi = (x1, y1, min(w, x1 + dx), min(h, y1 + dy))
         lv = lv100 / 100
         uv = min(1.0, lv + width100 / 100)
         if uv <= lv:
             uv = lv + 0.01
-        lb, ub = cp_bounds_single(H, (x1, y1, x2, y2), lv, uv, cfg)
-        exact = cp(m, (x1, y1, x2, y2), lv, uv)
+        lb, ub = cp_bounds_single(H, roi, lv, uv, cfg)
+        exact = cp(m, roi, lv, uv)
         assert lb <= exact <= ub
+        ub1, ub2, lb1, lb2 = eqs_3_4(m, roi, lv, uv, cfg)
+        area = (roi[2] - roi[0]) * (roi[3] - roi[1])
+        assert max(lb1, lb2, 0) <= lb and ub <= min(ub1, ub2, area)

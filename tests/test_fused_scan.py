@@ -67,16 +67,16 @@ def test_ratio_loads_count_zero_denominators(baseline):
 def test_cp_mode_matches_driver_kernels(spark, tiny_store, tiny_meta, tiny_cfg):
     meta = tiny_meta.iloc[::3]
     terms = (CPTerm(0.6, 1.0, CONST_ROI), CPTerm(0.8, 1.0, OBJECT_ROI), CPTerm(0.3, 0.9, None))
-    pdf, ids, H = verify.exact_cp_and_chi(spark, tiny_store, meta, terms, tiny_cfg)
+    pdf, H = verify.exact_cp_and_chi(spark, tiny_store, meta, terms, tiny_cfg)
     assert sorted(pdf["mask_id"]) == sorted(meta["mask_id"])
-    assert ids.tolist() == pdf["mask_id"].tolist()
+    assert len(H) == len(pdf)
     rows = meta.set_index("mask_id")
     for r in pdf.itertuples(index=False):
         m = testing.load_mask(tiny_store, r.mask_id)
         box = tuple(rows.loc[r.mask_id, ["obj_x1", "obj_y1", "obj_x2", "obj_y2"]])
         for i, term in enumerate(terms):
             assert getattr(r, f"cp_{i}") == cp(m, term.resolve_roi(32, 32, box), term.lv, term.uv)
-    for mid, h in zip(ids, H):
+    for mid, h in zip(pdf["mask_id"], H):
         assert np.array_equal(h, build_chi_array(testing.load_mask(tiny_store, mid), tiny_cfg))
 
 
@@ -97,12 +97,13 @@ def test_q5_mode_with_chi_builds_chi_of_opened_masks(spark, tiny_store, tiny_met
     """With a ``ChiConfig``, Q5 mode returns the same CPs and the CHI of
     each opened mask, never of its image's intersection."""
     meta = tiny_meta[tiny_meta["image_id"] < 10]
-    pdf, ids, H = verify.exact_cp_and_chi(spark, tiny_store, meta, (Q5_TERM,), tiny_cfg, 0.7)
+    pdf, H = verify.exact_cp_and_chi(spark, tiny_store, meta, (Q5_TERM,), tiny_cfg, 0.7)
     plain = verify.exact_maskagg_pdf(spark, tiny_store, meta, 0.7, Q5_TERM)
     assert pdf.sort_values("mask_id").reset_index(drop=True).equals(
         plain.sort_values("mask_id").reset_index(drop=True)
     )
-    for mid, h in zip(ids, H):
+    assert len(H) == len(pdf)
+    for mid, h in zip(pdf["mask_id"], H):
         assert np.array_equal(h, build_chi_array(testing.load_mask(tiny_store, mid), tiny_cfg))
 
 
@@ -243,6 +244,18 @@ def test_chi_config_not_fitting_mask_raises(tiny_store):
 def test_target_id_missing_from_metadata_raises(tiny_store):
     with pytest.raises(ValueError, match="not in the store's metadata"):
         _reader(tiny_store, _spec([CPTerm(0.5, 1.0)]), maskids=f"0,1,{10**6}")
+
+
+def test_planning_a_scan_reads_the_metadata_once(tiny_store, monkeypatch):
+    """The reader checks its inputs against the store's ``_SPEC.json``;
+    only :meth:`~ds.MaskStoreReader.partitions` reads the metadata."""
+    calls = []
+    real = ds.read_metadata
+    monkeypatch.setattr(ds, "read_metadata", lambda root: calls.append(root) or real(root))
+    spec = _spec([CPTerm(0.5, 1.0, CONST_ROI)], ChiConfig(8, 8, 8))
+    parts = _reader(tiny_store, spec, maskids="3,1,4", numpartitions="2").partitions()
+    assert calls == [tiny_store.root]
+    assert sorted(i for p in parts for i in p.rows["mask_id"]) == [1, 3, 4]
 
 
 # -- bin-edge fuzz -------------------------------------------------------------
